@@ -13,7 +13,7 @@ The JSON file records two snapshots:
 * ``current`` — the latest measurement of the present tree.
 
 ``benchmarks/test_bench_kernel_baseline.py`` re-runs the same workloads
-under pytest and asserts the kernel-v2 speedup over ``pre_pr`` holds, so
+under pytest and asserts the recorded speedup over ``pre_pr`` holds, so
 future PRs cannot silently regress the hot path.
 """
 
@@ -126,9 +126,9 @@ def bench_stack_multicast() -> int:
 
 
 def bench_stress_128() -> int:
-    """The 128-process / ~114k-message broadcast storm (kernel v2 made
-    this scale feasible; see ``test_bench_stress.py``).  Not present in
-    the pre-PR snapshot — it could not be run there at benchmark cadence."""
+    """The 128-process / ~114k-message broadcast storm (see
+    ``test_bench_stress.py``).  Not present in the pre-PR snapshot — it
+    could not be run there at benchmark cadence."""
     import test_bench_stress
 
     stack = test_bench_stress._run_stress()
@@ -136,9 +136,8 @@ def bench_stress_128() -> int:
 
 
 # ----------------------------------------------------------------------
-# Stress-scale workloads (kernel v3).  Shapes shared by the benchmark,
-# the CI gates (``test_bench_stress_scale.py``) and the engine-speedup
-# record in BENCH_kernel.json.
+# Stress-scale workloads.  Shapes shared by the benchmark and the CI
+# gates (``test_bench_stress_scale.py``).
 # ----------------------------------------------------------------------
 
 STRESS_SCALES = {
@@ -151,8 +150,10 @@ STRESS_SCALES = {
 }
 
 
-def run_stress_scale(engine: str, n: int, senders: int, rounds: int, relation=None):
-    """One broadcast-storm run of the given shape under ``engine``.
+def run_stress_scale(
+    n: int, senders: int, rounds: int, relation=None, latched: bool = False
+):
+    """One broadcast-storm run of the given shape.
 
     Senders ``0..senders-1`` multicast once per round; tags repeat per
     sender across rounds (``s % 17``) so backlogs are genuinely
@@ -160,17 +161,20 @@ def run_stress_scale(engine: str, n: int, senders: int, rounds: int, relation=No
     the ``test_bench_stress.py`` scenario generalised to configurable
     scale.  ``relation`` defaults to the registry's item tagging; pass a
     relation *object* (e.g. a counting wrapper) to observe the protocol.
+    ``latched`` touches a fault knob with its no-op value first, so every
+    multicast takes the network's per-destination loop instead of the
+    batched fan-out — the reference arm of the counter comparison.
     """
     from repro.gcs.context import RunContext
     from repro.gcs.stack import GroupStack, StackConfig
 
-    config = StackConfig(
-        n=n, seed=7, consensus="oracle", record_history=False, engine=engine
-    )
+    config = StackConfig(n=n, seed=7, consensus="oracle", record_history=False)
     if relation is None:
         stack = RunContext.prepare("item-tagging", config).stack()
     else:
         stack = GroupStack(relation, config)
+    if latched:
+        stack.network.set_drop_filter(None)
     sim = stack.sim
     for r in range(rounds):
         for s in range(senders):
@@ -191,16 +195,16 @@ def run_stress_scale(engine: str, n: int, senders: int, rounds: int, relation=No
 
 
 def bench_stress_1k() -> int:
-    """1000 processes / ~2M messages under engine v3 (batch dispatch)."""
-    stack = run_stress_scale("v3", **STRESS_SCALES["stress_1k"])
+    """1000 processes / ~2M messages, one kernel event per fan-out."""
+    stack = run_stress_scale(**STRESS_SCALES["stress_1k"])
     return stack.network.messages_delivered
 
 
 def bench_stress_10k() -> int:
-    """10k processes / ~1M messages under engine v3 — the scale the
-    batched fan-out exists for (v2 turns each multicast into 9 999
+    """10k processes / ~1M messages — the scale the batched fan-out
+    exists for (the per-destination loop turns each multicast into 9 999
     heap events)."""
-    stack = run_stress_scale("v3", **STRESS_SCALES["stress_10k"])
+    stack = run_stress_scale(**STRESS_SCALES["stress_10k"])
     return stack.network.messages_delivered
 
 
@@ -215,8 +219,7 @@ WORKLOADS: Dict[str, Callable[[], int]] = {
     "stress_10k": bench_stress_10k,
 }
 
-#: Workloads measured once per ``measure`` call: 5–15 s apiece, and the
-#: quantity of interest (the v2/v3 ratio) is robust to run-to-run noise.
+#: Workloads measured once per ``measure`` call: 5–15 s apiece.
 SINGLE_SHOT = {"stress_1k", "stress_10k"}
 
 
@@ -244,38 +247,9 @@ def measure(repeats: int = 3) -> Dict[str, float]:
     return timings
 
 
-def measure_engines() -> Dict[str, Dict[str, float]]:
-    """Time each stress shape under v2 and v3 (one run per engine; these
-    are 5–45 s apiece) and record the v3 speedup — the number the
-    ``engine_speedup`` gate in ``test_bench_kernel_baseline.py`` pins.
-
-    Each timed run starts from a collected heap: dead stacks left behind
-    by earlier workloads would otherwise inflate every allocation-
-    triggered GC pass mid-run.  The collector stays *enabled* during the
-    run — allocation pressure is part of each engine's real cost (v2
-    allocates one event per delivery; v3's batching is precisely what
-    avoids that), so turning GC off would understate the difference
-    users see.
-    """
-    import gc
-
-    out: Dict[str, Dict[str, float]] = {}
-    for name, params in STRESS_SCALES.items():
-        times: Dict[str, float] = {}
-        for engine in ("v2", "v3"):
-            gc.collect()
-            start = time.perf_counter()
-            run_stress_scale(engine, **params)
-            times[engine] = round(time.perf_counter() - start, 6)
-        out[name] = dict(times, speedup=round(times["v2"] / times["v3"], 2))
-    return out
-
-
-def emit(timings: Dict[str, float], engines: Dict[str, Dict[str, float]] = None) -> Dict:
+def emit(timings: Dict[str, float]) -> Dict:
     """Write ``timings`` as the ``current`` snapshot of BENCH_kernel.json,
-    preserving the recorded ``pre_pr`` baseline.  ``engines`` (from
-    :func:`measure_engines`) replaces the ``engine_speedup`` section when
-    given; otherwise the recorded section is kept."""
+    preserving the recorded ``pre_pr`` baseline."""
     data = {}
     if BENCH_FILE.exists():
         data = json.loads(BENCH_FILE.read_text())
@@ -292,8 +266,6 @@ def emit(timings: Dict[str, float], engines: Dict[str, Dict[str, float]] = None)
         for name in timings
         if pre.get(name)
     }
-    if engines is not None:
-        data["engine_speedup"] = engines
     BENCH_FILE.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
     return data
 
@@ -304,25 +276,12 @@ def main() -> None:
         "--emit", action="store_true", help="update BENCH_kernel.json"
     )
     parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument(
-        "--skip-engines",
-        action="store_true",
-        help="with --emit: keep the recorded engine_speedup section "
-        "instead of re-timing the stress shapes under both engines",
-    )
     args = parser.parse_args()
     timings = measure(repeats=args.repeats)
     for name, seconds in timings.items():
         print(f"{name:>24}: {seconds * 1000:9.2f} ms")
     if args.emit:
-        engines = None if args.skip_engines else measure_engines()
-        if engines is not None:
-            for name, row in engines.items():
-                print(
-                    f"{name:>24}: v2 {row['v2']:.2f}s  v3 {row['v3']:.2f}s  "
-                    f"speedup {row['speedup']:.2f}x"
-                )
-        data = emit(timings, engines)
+        data = emit(timings)
         print(f"wrote {BENCH_FILE} (speedup vs pre_pr: {data['speedup']})")
 
 

@@ -1,21 +1,18 @@
-"""Gates on the kernel-v3 stress shapes (``stress_1k`` / ``stress_10k``).
+"""Gates on the stress shapes (``stress_1k`` / ``stress_10k``).
 
 Layered like ``test_bench_kernel_baseline.py``:
 
 1. a fast machine-independent gate runs the stress shape at reduced
-   scale under *both* engines with a call-counting relation: every purge
-   decision must resolve through the obsolescence index (zero linear
-   relation interrogations) and the two engines must agree on every
+   scale on *both* network paths — the batched fan-out and the
+   per-destination loop it must equal — with a call-counting relation:
+   every purge decision must resolve through the obsolescence index (zero
+   linear relation interrogations) and the two paths must agree on every
    counter — a miniature differential check that runs in the default CI
    lane;
 2. the full-scale shapes run in the slow lane with the accounting
-   invariants of ``test_bench_stress.py``;
-3. with ``BENCH_GATE=1`` the slow lane also re-times stress_1k under
-   both engines on this machine and enforces the ≥ 3× v3 speedup that
-   ``BENCH_kernel.json`` records (off by default: hardware-specific).
+   invariants of ``test_bench_stress.py``.
 """
 
-import os
 import pathlib
 import sys
 
@@ -66,21 +63,22 @@ class TestStressShapeRelationWork:
 
     SHAPE = {"n": 200, "senders": 200, "rounds": 2}
 
-    def test_zero_linear_relation_calls_and_engine_agreement(self):
+    def test_zero_linear_relation_calls_and_path_agreement(self):
         results = {}
-        for engine in ("v2", "v3"):
+        for latched in (False, True):
             relation = _CountingItemTagging()
             stack = bench_kernel.run_stress_scale(
-                engine, relation=relation, **self.SHAPE
+                relation=relation, latched=latched, **self.SHAPE
             )
+            assert stack.network._batched is not latched
             # All purging resolved by per-(sender, tag) index buckets;
             # same-sender FIFO lets t3 skip the coverage scan entirely.
-            assert relation.obsoletes_calls == 0, engine
-            assert relation.covers_calls == 0, engine
-            results[engine] = _counters(stack)
-        # The engines must tell the identical story, counter for counter.
-        assert results["v2"] == results["v3"]
-        assert results["v3"]["sent"] == 200 * 2 * 199
+            assert relation.obsoletes_calls == 0, latched
+            assert relation.covers_calls == 0, latched
+            results[latched] = _counters(stack)
+        # Both paths must tell the identical story, counter for counter.
+        assert results[False] == results[True]
+        assert results[False]["sent"] == 200 * 2 * 199
 
 
 def _assert_stress_accounting(stack, senders, rounds):
@@ -98,13 +96,13 @@ def _assert_stress_accounting(stack, senders, rounds):
 class TestStressFullScale:
     def test_stress_1k_accounting(self):
         params = bench_kernel.STRESS_SCALES["stress_1k"]
-        stack = bench_kernel.run_stress_scale("v3", **params)
+        stack = bench_kernel.run_stress_scale(**params)
         assert stack.network.messages_sent == 1000 * 2 * 999
         _assert_stress_accounting(stack, params["senders"], params["rounds"])
 
     def test_stress_10k_accounting(self):
         params = bench_kernel.STRESS_SCALES["stress_10k"]
-        stack = bench_kernel.run_stress_scale("v3", **params)
+        stack = bench_kernel.run_stress_scale(**params)
         assert stack.network.messages_sent == 50 * 2 * 9999
         # Only the 50 broadcasting members append their own copies; the
         # uniform invariant still holds: everything queued was delivered
@@ -113,24 +111,3 @@ class TestStressFullScale:
             stats = proc.to_deliver.stats
             assert proc.pending == 0
             assert stats.popped + stats.purged == stats.appended
-
-
-@pytest.mark.slow
-@pytest.mark.skipif(
-    os.environ.get("BENCH_GATE") != "1",
-    reason="wall-clock gate is opt-in (BENCH_GATE=1); hardware-specific",
-)
-class TestStressWallClockGate:
-    def test_stress_1k_v3_is_3x_faster(self):
-        import gc
-        import time
-
-        params = bench_kernel.STRESS_SCALES["stress_1k"]
-        times = {}
-        for engine in ("v2", "v3"):
-            gc.collect()  # start from a clean heap, as --emit does
-            start = time.perf_counter()
-            bench_kernel.run_stress_scale(engine, **params)
-            times[engine] = time.perf_counter() - start
-        ratio = times["v2"] / times["v3"]
-        assert ratio >= 3.0, times

@@ -8,15 +8,11 @@ sweeps bisect threshold rates across seven buffer sizes at full trace
 length).
 
 Run:  python examples/reproduce_figures.py [--fast] [--workers N]
-          [--cache DIR] [--engine {v2,v3}] [--dispatch BACKEND]
-          [--report DIR]
+          [--cache DIR] [--dispatch BACKEND] [--report DIR]
 
 ``--workers N`` fans the grid-shaped experiments (Figures 4–5, the
 view-change table, the ablations) out to N worker processes via the sweep
 engine; results are identical to the serial run.
-
-``--engine v3`` runs every kernel-backed cell on the batch-dispatch
-engine (see ``docs/kernel.md``) — byte-identical tables, faster cells.
 
 ``--dispatch BACKEND`` routes cells through a registered dispatch backend
 (``local-pool``, ``subprocess``, ``ssh``; see ``docs/sweeps-dispatch.md``)
@@ -51,13 +47,11 @@ def main():
     parser.add_argument("--fast", action="store_true")
     parser.add_argument("--workers", type=int, default=0)
     parser.add_argument("--cache", default=None, metavar="DIR")
-    parser.add_argument("--engine", choices=("v2", "v3"), default="v2")
     parser.add_argument("--dispatch", default=None, metavar="BACKEND")
     parser.add_argument("--report", default=None, metavar="DIR")
     args = parser.parse_args()
     fast = args.fast
     workers = args.workers
-    engine = args.engine
     dispatch = args.dispatch
     report = None
     if args.report:
@@ -83,8 +77,7 @@ def main():
         trace = exp.default_trace()
         buffers = exp.DEFAULT_BUFFERS
         probes = 8
-    grid = dict(workers=workers, cache=cache, engine=engine,
-                dispatch=dispatch, report=report)
+    grid = dict(workers=workers, cache=cache, dispatch=dispatch, report=report)
 
     start = time.time()
     before = _counters(args.cache) if cache else None
@@ -99,11 +92,9 @@ def main():
     exp.churn_table(show=True, **grid)
     exp.ablation_k(trace, show=True, **grid)
     exp.ablation_representation(trace, show=True, **grid)
-    exp.ablation_players(show=True, workers=workers, cache=cache,
-                         dispatch=dispatch, report=report)
+    exp.ablation_players(show=True, **grid)
     if report is not None:
-        _golden_delta(report, workers=workers, cache=cache, engine=engine,
-                      dispatch=dispatch)
+        _golden_delta(report, workers=workers, cache=cache, dispatch=dispatch)
     print(f"\ntotal wall-clock: {time.time() - start:.1f}s")
     if report is not None:
         if args.cache:
@@ -122,7 +113,7 @@ def main():
         )
 
 
-def _golden_delta(report, workers, cache, engine, dispatch):
+def _golden_delta(report, workers, cache, dispatch):
     """Recompute the golden Figure 4(a) grid and report the delta.
 
     The grid is the committed fixture's own configuration (1500-round
@@ -159,7 +150,6 @@ def _golden_delta(report, workers, cache, engine, dispatch):
         rates=golden["rates"],
         workers=workers,
         cache=cache,
-        engine=engine,
         dispatch=dispatch,
     )
     report.add_golden_delta(

@@ -40,7 +40,6 @@ markdown + HTML report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.throughput import (
@@ -66,7 +65,6 @@ from repro.workload.trace import (
 
 __all__ = [
     "default_trace",
-    "TraceContext",
     "workload_stats",
     "figure_3a",
     "figure_3b",
@@ -112,60 +110,6 @@ def default_trace() -> Trace:
 
         _default_trace = portable_workload("game")
     return _default_trace
-
-
-@dataclass(frozen=True)
-class TraceContext:
-    """A sweep context pairing the shared trace with the kernel engine.
-
-    The engine must *not* travel in cell params — seeds are derived from
-    the params dict, so adding a key would change every replicate seed and
-    break the golden byte-identity.  It rides in the context instead.  For
-    ``engine="v2"`` the entry points keep passing the bare trace (token
-    and shards unchanged); a ``TraceContext`` appears only for ``"v3"``,
-    whose cache token is deliberately distinct — the engines are proven
-    byte-identical by the differential harness, but shards stay
-    attributable to the engine that computed them.
-    """
-
-    trace: Trace
-    engine: str = "v2"
-
-    def cache_token(self) -> str:
-        token = self.trace.cache_token()
-        if self.engine == "v2":
-            return token
-        return f"{token}|engine={self.engine}"
-
-    def worker_recipe(self) -> Optional[Dict[str, Any]]:
-        inner = self.trace.worker_recipe()
-        if inner is None:
-            return None
-        return {
-            "kind": "factory",
-            "path": "repro.analysis.experiments:_rebuild_trace_context",
-            "params": {"workload": inner, "engine": self.engine},
-        }
-
-
-def _rebuild_trace_context(
-    workload: Dict[str, Any], engine: str = "v2"
-) -> "TraceContext":
-    """Worker-side factory behind :meth:`TraceContext.worker_recipe`."""
-    from repro.sweep.worker import build_context
-
-    return TraceContext(trace=build_context(workload), engine=engine)
-
-
-def _trace_engine(context: Any) -> Tuple[Trace, str]:
-    """(trace, engine) from a cell context that may be either form."""
-    if isinstance(context, TraceContext):
-        return context.trace, context.engine
-    return context, "v2"
-
-
-def _sweep_context(trace: Trace, engine: str) -> Any:
-    return trace if engine == "v2" else TraceContext(trace=trace, engine=engine)
 
 
 def _report_rows(
@@ -361,17 +305,15 @@ DEFAULT_RATES = (140, 120, 100, 80, 73, 60, 50, 40, 30, 28, 20)
 
 
 def _figure_4_cell(
-    params: Mapping[str, Any], seed: int, context: Any
+    params: Mapping[str, Any], seed: int, trace: Trace
 ) -> Dict[str, float]:
     """One (consumer rate × protocol) point of the Figure 4 grid."""
-    trace, engine = _trace_engine(context)
     result = run_slow_receiver(
         trace,
         ThroughputConfig(
             buffer_size=params["buffer_size"],
             consumer_rate=float(params["consumer_rate"]),
             semantic=params["semantic"],
-            engine=engine,
         ),
     )
     return {
@@ -388,7 +330,6 @@ def figure_4_sweep(
     rates: Sequence[int] = DEFAULT_RATES,
     workers: Optional[int] = None,
     cache: Any = None,
-    engine: str = "v2",
     dispatch: Any = None,
     dispatch_params: Optional[Mapping[str, Any]] = None,
 ) -> SweepResult:
@@ -401,7 +342,7 @@ def figure_4_sweep(
         .run(
             _figure_4_cell,
             workers=workers,
-            context=_sweep_context(trace, engine),
+            context=trace,
             cache=cache,
             dispatch=dispatch,
             dispatch_params=dispatch_params,
@@ -429,15 +370,13 @@ def figure_4a(
     show: bool = False,
     workers: Optional[int] = None,
     cache: Any = None,
-    engine: str = "v2",
     dispatch: Any = None,
     dispatch_params: Optional[Mapping[str, Any]] = None,
     report: Any = None,
 ) -> List[Tuple[int, float, float]]:
     """Figure 4(a): producer idle % vs consumer rate, reliable vs semantic."""
     sweep = figure_4_sweep(
-        trace, buffer_size, rates, workers, cache, engine, dispatch,
-        dispatch_params,
+        trace, buffer_size, rates, workers, cache, dispatch, dispatch_params,
     )
     rows = _figure_4_rows(sweep, rates, "producer_idle_pct")
     if show:
@@ -465,15 +404,13 @@ def figure_4b(
     show: bool = False,
     workers: Optional[int] = None,
     cache: Any = None,
-    engine: str = "v2",
     dispatch: Any = None,
     dispatch_params: Optional[Mapping[str, Any]] = None,
     report: Any = None,
 ) -> List[Tuple[int, float, float]]:
     """Figure 4(b): mean buffer occupancy vs consumer rate."""
     sweep = figure_4_sweep(
-        trace, buffer_size, rates, workers, cache, engine, dispatch,
-        dispatch_params,
+        trace, buffer_size, rates, workers, cache, dispatch, dispatch_params,
     )
     rows = _figure_4_rows(sweep, rates, "mean_occupancy")
     if show:
@@ -502,14 +439,12 @@ DEFAULT_BUFFERS = (4, 8, 12, 16, 20, 24, 28)
 
 
 def _figure_5a_cell(
-    params: Mapping[str, Any], seed: int, context: Any
+    params: Mapping[str, Any], seed: int, trace: Trace
 ) -> Dict[str, float]:
     """One buffer-size point: a whole threshold-rate bisection."""
-    trace, engine = _trace_engine(context)
     return {
         "threshold_rate": threshold_rate(
             trace, params["buffer_size"], semantic=params["semantic"],
-            engine=engine,
         )
     }
 
@@ -520,7 +455,6 @@ def figure_5a(
     show: bool = False,
     workers: Optional[int] = None,
     cache: Any = None,
-    engine: str = "v2",
     dispatch: Any = None,
     dispatch_params: Optional[Mapping[str, Any]] = None,
     report: Any = None,
@@ -534,7 +468,7 @@ def figure_5a(
         .run(
             _figure_5a_cell,
             workers=workers,
-            context=_sweep_context(trace, engine),
+            context=trace,
             cache=cache,
             dispatch=dispatch,
             dispatch_params=dispatch_params,
@@ -570,17 +504,15 @@ def figure_5a(
 
 
 def _figure_5b_cell(
-    params: Mapping[str, Any], seed: int, context: Any
+    params: Mapping[str, Any], seed: int, trace: Trace
 ) -> Dict[str, float]:
     """One buffer-size point: all perturbation probes for one protocol."""
-    trace, engine = _trace_engine(context)
     return {
         "tolerance_s": perturbation_tolerance(
             trace,
             params["buffer_size"],
             semantic=params["semantic"],
             probes=params["probes"],
-            engine=engine,
         )
     }
 
@@ -592,7 +524,6 @@ def figure_5b(
     show: bool = False,
     workers: Optional[int] = None,
     cache: Any = None,
-    engine: str = "v2",
     dispatch: Any = None,
     dispatch_params: Optional[Mapping[str, Any]] = None,
     report: Any = None,
@@ -606,7 +537,7 @@ def figure_5b(
         .run(
             _figure_5b_cell,
             workers=workers,
-            context=_sweep_context(trace, engine),
+            context=trace,
             cache=cache,
             dispatch=dispatch,
             dispatch_params=dispatch_params,
@@ -646,17 +577,15 @@ def figure_5b(
 
 
 def _view_change_cell(
-    params: Mapping[str, Any], seed: int, context: Any
+    params: Mapping[str, Any], seed: int, trace: Trace
 ) -> Dict[str, float]:
     """One protocol's full-stack view-change measurement (Scenario-based,
     so the run is invariant-checked inside the measurement harness)."""
-    trace, engine = _trace_engine(context)
     result = measure_view_change_latency(
         trace,
         semantic=params["semantic"],
         slow_rate=params["slow_rate"],
         load_time=params["load_time"],
-        engine=engine,
     )
     return {
         "backlog_at_trigger": result.backlog_at_trigger,
@@ -672,7 +601,6 @@ def view_change_latency_table(
     show: bool = False,
     workers: Optional[int] = None,
     cache: Any = None,
-    engine: str = "v2",
     dispatch: Any = None,
     dispatch_params: Optional[Mapping[str, Any]] = None,
     report: Any = None,
@@ -685,7 +613,7 @@ def view_change_latency_table(
         .run(
             _view_change_cell,
             workers=workers,
-            context=_sweep_context(trace, engine),
+            context=trace,
             cache=cache,
             dispatch=dispatch,
             dispatch_params=dispatch_params,
@@ -752,12 +680,8 @@ def _churn_cell(
 
     d = CHURN_DEFAULTS
     semantic = bool(params["semantic"])
-    # Engine rides in the (JSON, hence dispatch-portable) context so the
-    # cell params — and with them the derived seeds — never change.
-    engine = (context or {}).get("engine", "v2")
     result = (
         Scenario()
-        .engine(engine)
         .group(
             n=d["n"],
             relation="item-tagging" if semantic else "empty",
@@ -823,7 +747,6 @@ def churn_table(
     show: bool = False,
     workers: Optional[int] = None,
     cache: Any = None,
-    engine: str = "v2",
     dispatch: Any = None,
     dispatch_params: Optional[Mapping[str, Any]] = None,
     report: Any = None,
@@ -847,7 +770,6 @@ def churn_table(
         .run(
             _churn_cell,
             workers=workers,
-            context=None if engine == "v2" else {"engine": engine},
             cache=cache,
             dispatch=dispatch,
             dispatch_params=dispatch_params,
@@ -909,10 +831,9 @@ def churn_table(
 
 
 def _ablation_cell(
-    params: Mapping[str, Any], seed: int, context: Any
+    params: Mapping[str, Any], seed: int, trace: Trace
 ) -> Dict[str, float]:
     """Shared slow-receiver cell for the k and representation ablations."""
-    trace, engine = _trace_engine(context)
     result = run_slow_receiver(
         trace,
         ThroughputConfig(
@@ -921,7 +842,6 @@ def _ablation_cell(
             semantic=True,
             representation=params.get("representation", "k-enumeration"),
             k=params.get("k"),
-            engine=engine,
         ),
     )
     return {
@@ -938,7 +858,6 @@ def ablation_k(
     show: bool = False,
     workers: Optional[int] = None,
     cache: Any = None,
-    engine: str = "v2",
     dispatch: Any = None,
     dispatch_params: Optional[Mapping[str, Any]] = None,
     report: Any = None,
@@ -955,7 +874,7 @@ def ablation_k(
         .run(
             _ablation_cell,
             workers=workers,
-            context=_sweep_context(trace, engine),
+            context=trace,
             cache=cache,
             dispatch=dispatch,
             dispatch_params=dispatch_params,
@@ -992,7 +911,6 @@ def ablation_representation(
     show: bool = False,
     workers: Optional[int] = None,
     cache: Any = None,
-    engine: str = "v2",
     dispatch: Any = None,
     dispatch_params: Optional[Mapping[str, Any]] = None,
     report: Any = None,
@@ -1010,7 +928,7 @@ def ablation_representation(
         .run(
             _ablation_cell,
             workers=workers,
-            context=_sweep_context(trace, engine),
+            context=trace,
             cache=cache,
             dispatch=dispatch,
             dispatch_params=dispatch_params,
@@ -1069,8 +987,7 @@ def ablation_players(
 
     The paper observes: with more players the message rate increases, the
     never-obsolete share decreases, and the distance between related
-    messages increases.  (No ``engine`` knob: the cell is pure trace
-    statistics — no kernel runs.)
+    messages increases.
     """
     sweep = (
         Sweep(base={"rounds": rounds})

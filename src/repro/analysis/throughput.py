@@ -68,9 +68,6 @@ class ThroughputConfig:
     """If set, the consumer stops permanently at this time (Figure 5(b))."""
     stop_on_first_block: bool = False
     """End the run the first time the producer blocks (tolerance probes)."""
-    engine: str = "v2"
-    """Kernel engine: ``"v2"`` (default) or ``"v3"`` (batch dispatch) —
-    byte-identical outputs, pinned by the differential harness."""
 
     def effective_k(self) -> int:
         return self.k if self.k is not None else 2 * self.buffer_size
@@ -80,8 +77,6 @@ class ThroughputConfig:
             raise ValueError("buffer size must be positive")
         if self.consumer_rate <= 0:
             raise ValueError("consumer rate must be positive")
-        if self.engine not in ("v2", "v3"):
-            raise ValueError(f"engine must be 'v2' or 'v3': {self.engine!r}")
 
 
 @dataclass(frozen=True)
@@ -150,12 +145,7 @@ class SlowReceiverSimulation:
     ) -> None:
         self.messages = messages
         self.config = config
-        if config.engine == "v3":
-            from repro.sim.kernel import SimulatorV3
-
-            self.sim = SimulatorV3()
-        else:
-            self.sim = Simulator()
+        self.sim = Simulator()
         self.queue = DeliveryQueue(relation, capacity=config.buffer_size)
         # Hot-path caches: the service period, the kernel's schedule entry
         # point and the occupancy recorder are looked up once, not per event.
@@ -364,7 +354,6 @@ def threshold_rate(
     lo: int = 1,
     hi: int = 200,
     representation: str = "k-enumeration",
-    engine: str = "v2",
 ) -> int:
     """Figure 5(a): lowest integer consumer rate with ≤ ``disturbance``
     producer blocking, by bisection (blocking is monotone in the rate)."""
@@ -376,7 +365,6 @@ def threshold_rate(
                 consumer_rate=float(rate),
                 semantic=semantic,
                 representation=representation,
-                engine=engine,
             ),
         )
         return result.blocked_fraction > disturbance
@@ -400,7 +388,6 @@ def perturbation_tolerance(
     fast_rate: float = 5_000.0,
     warmup: float = 20.0,
     representation: str = "k-enumeration",
-    engine: str = "v2",
 ) -> float:
     """Figure 5(b): mean time a *complete* consumer stall is tolerated.
 
@@ -424,7 +411,6 @@ def perturbation_tolerance(
                 representation=representation,
                 stall_at=stall_at,
                 stop_on_first_block=True,
-                engine=engine,
             ),
         )
         if result.first_block_time is not None:

@@ -62,7 +62,6 @@ def measure_view_change_latency(
     k: int = 64,
     fast_rate: float = 10_000.0,
     seed: int = 0,
-    engine: str = "v2",
 ) -> ViewChangeLatencyResult:
     """Load the group for ``load_time`` seconds, then change views.
 
@@ -89,7 +88,6 @@ def measure_view_change_latency(
 
     scenario = (
         Scenario()
-        .engine(engine)
         .group(n=n, seed=seed, consensus="chandra-toueg", fd="oracle")
         .workload(trace, sender=0, representation="k-enumeration", k=k)
         .consumers(rate=fast_rate)

@@ -236,7 +236,7 @@ class SVSProcess(SimProcess):
         # Built on first multicast and rebuilt when the view id changes —
         # never eagerly, so a 10k-process group that mostly listens does
         # not hold 10k copies of the member list.  The batched-delivery
-        # shortcut for the v3 network is only installed when message
+        # shortcut for the network is only installed when message
         # routing is not overridden — a subclass with its own on_message
         # keeps the generic per-event dispatch.
         self._peers: Optional[List[ProcessId]] = None
@@ -305,7 +305,7 @@ class SVSProcess(SimProcess):
             self._peers_vid = cv.vid
         # One network call for the whole fan-out (peer order == the old
         # per-member send order); (pid, vid) uniquely identifies the
-        # destination set, so the v3 network can memoize the group.
+        # destination set, so the network can memoize the group.
         self.send_multicast(self._peers, envelope, token=(self.pid, cv.vid))
         self.to_deliver.purge_by(msg)
         self._note_processed(msg)
@@ -383,7 +383,7 @@ class SVSProcess(SimProcess):
         raise TypeError(f"unknown stream: {envelope.stream!r}")
 
     def _fast_deliver(self, sender: ProcessId, payload: Any) -> None:
-        """Batched-delivery shortcut consumed by the v3 network.
+        """Batched-delivery shortcut consumed by the network's fan-out.
 
         Semantically identical to ``SimProcess._deliver`` (the crash
         check) followed by :meth:`on_message` routing, with the dominant

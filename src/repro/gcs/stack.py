@@ -44,8 +44,8 @@ from repro.registry import (
     relations as relation_registry,
 )
 from repro.sim.failure import check_positive
-from repro.sim.kernel import Simulator, SimulatorV3
-from repro.sim.network import Network, NetworkV3
+from repro.sim.kernel import Simulator
+from repro.sim.network import Network
 from repro.sim.process import ProcessId
 
 from typing import TYPE_CHECKING
@@ -85,14 +85,6 @@ class StackConfig:
     latency_params: Optional[Dict[str, Any]] = None
     """Extra keyword arguments for the latency-model factory."""
 
-    engine: str = "v2"
-    """Simulation engine: ``"v2"`` (the slotted-queue kernel, default) or
-    ``"v3"`` (batch dispatch + batched multicast fan-out, see
-    ``docs/kernel.md``).  Results are byte-identical between the two —
-    pinned by ``tests/sim/test_kernel_diff.py``; v3 exists purely for
-    speed at large group sizes.  Ignored when an explicit ``sim`` /
-    ``network`` substrate is injected (live transports bring their own)."""
-
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("a group needs at least one member")
@@ -121,10 +113,6 @@ class StackConfig:
             )
         if self.viewchange_retry is not None:
             check_positive(self.viewchange_retry, "viewchange_retry")
-        if self.engine not in ("v2", "v3"):
-            raise ValueError(
-                f"engine must be 'v2' or 'v3': {self.engine!r}"
-            )
         # Raise early (with the list of registered names) on unknown backends.
         consensus_protocols.get(self.consensus)
         failure_detectors.get(self.fd)
@@ -180,16 +168,9 @@ class GroupStack:
         #: The seed this stack actually runs under (== ``config.seed``
         #: unless overridden for a replicate).
         self.seed = stack_seed
-        if sim is not None:
-            self.sim = sim
-        elif self.config.engine == "v3":
-            self.sim = SimulatorV3(seed=stack_seed)
-        else:
-            self.sim = Simulator(seed=stack_seed)
+        self.sim = sim if sim is not None else Simulator(seed=stack_seed)
         if network is not None:
             self.network = network
-        elif self.config.engine == "v3":
-            self.network = NetworkV3(self.sim, self._build_latency_model())
         else:
             self.network = Network(self.sim, self._build_latency_model())
         if pids is None:

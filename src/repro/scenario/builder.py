@@ -219,21 +219,6 @@ class Scenario:
         self._latency_params = dict(params)
         return self
 
-    def engine(self, name: str) -> "Scenario":
-        """Pick the simulation engine: ``"v2"`` (default) or ``"v3"``.
-
-        v3 runs the batch-dispatch kernel and the batched-multicast
-        network (see ``docs/kernel.md``); results are byte-identical to
-        v2 — the differential suite in ``tests/sim/test_kernel_diff.py``
-        pins this — so the choice is purely about speed at scale.  Live
-        transports (:meth:`transport`) ignore the engine: they bring
-        their own clock and network substrate.
-        """
-        if name not in ("v2", "v3"):
-            raise ScenarioError(f"engine must be 'v2' or 'v3': {name!r}")
-        self._config_kwargs["engine"] = name
-        return self
-
     def transport(
         self,
         backend: str = "loopback",

@@ -1,4 +1,4 @@
-"""Discrete-event simulation kernel (v2: slotted event queue).
+"""Discrete-event simulation kernel: a slotted event queue.
 
 The kernel is the substrate every other subsystem runs on: the network,
 failure detectors, consensus, the SVS protocol and the throughput model all
@@ -16,14 +16,12 @@ sequence of ``schedule`` calls produce identical event orders:
   :meth:`Simulator.rng`) — stable across processes, platforms and
   ``PYTHONHASHSEED`` values.
 
-Event storage (kernel v2)
--------------------------
+Event storage
+-------------
 
-The v1 kernel kept one global binary heap of ``(key, Event)`` pairs; every
-event paid a frozen-dataclass construction, a nested sort-key tuple and an
-O(log n) push/pop against the whole pending set, and cancelled events sat
-in the heap as tombstones until their key surfaced.  v2 replaces this with
-a *slotted* queue (see ``docs/kernel.md`` for the full design):
+One global binary heap would charge every event an O(log n) push/pop
+against the whole pending set.  The queue is *slotted* instead (see
+``docs/kernel.md`` for the full design):
 
 * pending events are grouped into **per-tick buckets** — ``tick`` seconds
   of simulated time per slot — so heap traffic is per *bucket*, not per
@@ -31,13 +29,13 @@ a *slotted* queue (see ``docs/kernel.md`` for the full design):
 * events beyond the bucket horizon (``tick × span`` ahead) wait in an
   **overflow heap** and are re-bucketed in batches when the wheel drains —
   workloads that pre-schedule a whole trace up front (the Scenario
-  injector) no longer inflate every near-term heap operation;
-* an event is one lightweight ``__slots__`` handle; cancellation stays
-  lazy (a flag checked at pop time) and therefore O(1).
+  injector) do not inflate every near-term heap operation;
+* an event is one lightweight ``__slots__`` handle; cancellation is lazy
+  (a flag checked at pop time) and therefore O(1).
 
-The observable semantics are identical to v1 — same ordering contract,
-same ``SimulationError`` cases, bit-for-bit identical event orders — which
-the golden fixtures in ``tests/fixtures/`` pin.
+The ordering contract and the ``SimulationError`` cases are pinned by
+``tests/sim/test_kernel.py``, the event orders of whole runs by the golden
+fixtures in ``tests/fixtures/``.
 """
 
 from __future__ import annotations
@@ -52,7 +50,6 @@ __all__ = [
     "Event",
     "EventHandle",
     "Simulator",
-    "SimulatorV3",
     "SimulationError",
     "derive_stream_seed",
     "stream_rng",
@@ -66,14 +63,12 @@ class SimulationError(RuntimeError):
 class EventHandle(list):
     """A scheduled callback: its ordering key, payload and cancel flag.
 
-    v1 split this across an immutable ``Event`` record, a cancellable
-    handle wrapper and a nested sort-key tuple — three allocations and a
-    Python-level ``__init__`` per event.  v2 merges all of it into one
-    list subclass with layout ``[time, priority, seq, callback, args,
-    cancelled]``: construction is the C list initializer, the object *is*
-    its own heap entry (lists compare elementwise exactly like the old key
-    tuples — ``seq`` is unique, so comparisons never reach the callback),
-    and the named accessors below keep the v1 surface.
+    One list subclass with layout ``[time, priority, seq, callback, args,
+    cancelled]``: construction is the C list initializer (no Python-level
+    ``__init__`` per event), and the object *is* its own heap entry — lists
+    compare elementwise like key tuples, and ``seq`` is unique, so
+    comparisons never reach the callback.  The named accessors below are
+    the public surface.
 
     Cancellation is lazy: the handle stays queued with ``cancelled`` set
     and is skipped when its slot drains, keeping :meth:`Simulator.cancel`
@@ -117,8 +112,7 @@ class EventHandle(list):
         return f"EventHandle(t={self[0]:.6f}, prio={self[1]}{state})"
 
 
-#: Backwards-compatible alias: v1 exposed a separate immutable ``Event``
-#: record; v2's handle carries the same fields.
+#: Alias kept for callers that import the record under its older name.
 Event = EventHandle
 
 #: Queue entries *are* the handles (see :class:`EventHandle`).
@@ -333,11 +327,12 @@ class Simulator:
     # Slot management
     # ------------------------------------------------------------------
 
-    def _next_slot(self) -> Optional[List[_Entry]]:
-        """Pop, sort and return the next non-empty slot (None when dry).
+    def _refill(self) -> bool:
+        """Load the next non-empty slot into the (empty) active heap.
 
-        Shared by both engines: v2 merges the slot into its active heap,
-        v3 drains it in place by index (see :class:`SimulatorV3`).
+        Returns False when nothing is pending anywhere.  One batched
+        ``sort`` orders the whole slot; the sorted list is a valid binary
+        heap, so later same-slot arrivals can still be merged by push.
         """
         while True:
             if self._bucket_heap:
@@ -346,9 +341,10 @@ class Simulator:
                 if len(entries) > 1:
                     entries.sort()
                 self._active_idx = idx
-                return entries
+                self._active.extend(entries)
+                return True
             if not self._overflow:
-                return None
+                return False
             # Wheel ran dry: advance the horizon to cover the earliest
             # overflow event and re-bucket everything inside it.
             overflow = self._overflow
@@ -366,19 +362,6 @@ class Simulator:
                     heappush(bucket_heap, idx)
                 else:
                     bucket.append(entry)
-
-    def _refill(self) -> bool:
-        """Load the next non-empty slot into the (empty) active heap.
-
-        Returns False when nothing is pending anywhere.  One batched
-        ``sort`` orders the whole slot; the sorted list is a valid binary
-        heap, so later same-slot arrivals can still be merged by push.
-        """
-        entries = self._next_slot()
-        if entries is None:
-            return False
-        self._active.extend(entries)
-        return True
 
     def _next_entry(self) -> Optional[_Entry]:
         """The earliest live entry, left in place (cancelled ones pruned)."""
@@ -474,169 +457,6 @@ class Simulator:
             f"Simulator(now={self.now:.6f}, pending={self.pending_events}, "
             f"processed={self._events_processed})"
         )
-
-
-class SimulatorV3(Simulator):
-    """Kernel v3: batch slot dispatch over the v2 slotted queue.
-
-    v2 drains a slot through a binary heap: one ``heappop`` per event even
-    though the slot was already fully sorted when it was loaded.  v3 keeps
-    the sorted slot as a flat list and walks it by index — the common case
-    per event is one bounds check, one list index and the dispatch, no
-    heap traffic at all.
-
-    Same-slot *late arrivals* (events scheduled, while the slot drains,
-    at a time that falls inside it) still go through the inherited
-    ``schedule``/``schedule_at`` fast paths, which push them onto the
-    active heap; the drain loop merges that (normally empty) spill heap
-    against the slot list entry by entry.  Because entries compare by
-    ``(time, priority, seq)`` and seq is unique, the merge reproduces the
-    v2 total order bit for bit — the differential suite in
-    ``tests/sim/test_kernel_diff.py`` and the property tests in
-    ``tests/sim/test_batch_dispatch.py`` pin this.
-
-    Cancellation stays lazy and O(1): cancelled entries are skipped at
-    their slot-list position (or pruned from the spill heap) exactly when
-    v2 would have skipped them at pop time.
-    """
-
-    __slots__ = ("_slot", "_cursor")
-
-    def __init__(
-        self,
-        seed: int = 0,
-        start_time: float = 0.0,
-        tick: float = 0.008,
-        span: int = 4096,
-    ) -> None:
-        super().__init__(seed=seed, start_time=start_time, tick=tick, span=span)
-        #: The active slot, sorted, drained in place by ``_cursor``.
-        self._slot: List[_Entry] = []
-        self._cursor = 0
-
-    @property
-    def pending_events(self) -> int:
-        return (len(self._slot) - self._cursor) + super().pending_events
-
-    def _refill(self) -> bool:
-        entries = self._next_slot()
-        if entries is None:
-            return False
-        self._slot.extend(entries)
-        return True
-
-    def _pop_next(self) -> Optional[_Entry]:
-        """Remove and return the earliest live entry (merge of slot list
-        and spill heap), refilling from the buckets as needed."""
-        active = self._active
-        slot = self._slot
-        while True:
-            cursor = self._cursor
-            if cursor < len(slot):
-                entry = slot[cursor]
-                if active and active[0] < entry:
-                    entry = heappop(active)
-                    if entry[5]:
-                        continue
-                    return entry
-                self._cursor = cursor + 1
-                if entry[5]:
-                    continue
-                return entry
-            if active:
-                entry = heappop(active)
-                if entry[5]:
-                    continue
-                return entry
-            if slot:
-                slot.clear()
-                self._cursor = 0
-            if self._next_slot_into(slot) is False:
-                return None
-
-    def _next_slot_into(self, slot: List[_Entry]) -> bool:
-        entries = self._next_slot()
-        if entries is None:
-            return False
-        slot.extend(entries)
-        return True
-
-    def step(self) -> bool:
-        entry = self._pop_next()
-        if entry is None:
-            return False
-        self.now = entry[0]
-        self._events_processed += 1
-        entry[3](*entry[4])
-        return True
-
-    def run(
-        self,
-        until: Optional[float] = None,
-        max_events: Optional[int] = None,
-    ) -> None:
-        if self._running:
-            raise SimulationError("run() is not reentrant")
-        self._running = True
-        self._stopped = False
-        executed = 0
-        processed = 0
-        active = self._active
-        slot = self._slot
-        cursor = self._cursor
-        unbounded = until is None and max_events is None
-        try:
-            while not self._stopped:
-                # Batch dispatch: the sorted slot is consumed by index;
-                # the spill heap (same-slot late arrivals) is merged in
-                # by comparison and is empty in the common case.
-                from_heap = False
-                if cursor < len(slot):
-                    entry = slot[cursor]
-                    if active:
-                        head = active[0]
-                        if head < entry:
-                            if head[5]:
-                                heappop(active)
-                                continue
-                            entry = head
-                            from_heap = True
-                    if not from_heap and entry[5]:
-                        cursor += 1
-                        continue
-                elif active:
-                    entry = active[0]
-                    if entry[5]:
-                        heappop(active)
-                        continue
-                    from_heap = True
-                else:
-                    if slot:
-                        slot.clear()
-                    cursor = 0
-                    self._cursor = 0
-                    if self._next_slot_into(slot):
-                        continue
-                    break
-                if not unbounded:
-                    if until is not None and entry[0] > until:
-                        break
-                    if max_events is not None and executed >= max_events:
-                        break
-                    executed += 1
-                if from_heap:
-                    heappop(active)
-                else:
-                    cursor += 1
-                self.now = entry[0]
-                processed += 1
-                entry[3](*entry[4])
-            if until is not None and self.now < until and not self._stopped:
-                self.now = until
-        finally:
-            self._cursor = cursor
-            self._events_processed += processed
-            self._running = False
 
 
 @dataclass

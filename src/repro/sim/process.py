@@ -37,11 +37,11 @@ class SimProcess:
     so a process is fully deterministic given its inputs.
     """
 
-    #: Optional batched-delivery shortcut used by the v3 network: a
-    #: callable with the exact semantics of :meth:`_deliver` (crash check
-    #: included) that a subclass may bind per instance to skip its own
-    #: message-routing dispatch on the hot path.  ``None`` means "use
-    #: :meth:`_deliver`"; v2 never consults it.
+    #: Optional delivery shortcut used by the network's batched fan-out:
+    #: a callable with the exact semantics of :meth:`_deliver` (crash
+    #: check included) that a subclass may bind per instance to skip its
+    #: own message-routing dispatch on the hot path.  ``None`` means "use
+    #: :meth:`_deliver`"; per-destination sends never consult it.
     _fast_handler: Optional[Callable[[ProcessId, Any], None]] = None
 
     def __init__(self, pid: ProcessId, sim: Simulator, network: "Network") -> None:
@@ -113,7 +113,7 @@ class SimProcess:
         Exactly a loop of :meth:`send` (one crash check up front — the
         flag cannot change mid-call), but routed through
         :meth:`Network.multicast <repro.sim.network.Network.multicast>`
-        so the v3 engine can batch the whole fan-out into one event.
+        so a pristine network can batch the whole fan-out into one event.
         ``token`` is the optional memoization token forwarded to the
         network (see ``Network.multicast``).
         """

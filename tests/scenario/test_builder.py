@@ -27,6 +27,13 @@ class TestValidation:
     def test_group_rejects_empty(self):
         with pytest.raises(ScenarioError):
             Scenario().group(n=0)
+        # ... and any option StackConfig does not have, by name.
+        with pytest.raises(
+            ScenarioError,
+            match="invalid group configuration: .*"
+            "unexpected keyword argument 'engine'",
+        ):
+            Scenario().group(n=2, engine="v3").build()
 
     def test_unknown_relation_name_fails_fast(self):
         with pytest.raises(RegistryError, match="obsolescence relation"):

@@ -17,7 +17,6 @@ def _shard_factory(shard, seed):
         Scenario()
         .group(n=3 + (shard % 2), relation="item-tagging", seed=seed,
                consensus="oracle")
-        .engine("v3" if shard % 2 else "v2")
         .workload("game", players=3, rounds=30)
         .drain_every(0.05)
         .collect("network", "purges")
@@ -28,7 +27,6 @@ def _uniform_factory(shard, seed):
     return (
         Scenario()
         .group(n=4, relation="item-tagging", seed=seed, consensus="oracle")
-        .engine("v3")
         .workload("game", players=3, rounds=25)
         .drain_every(0.05)
         .collect("network", "purges")

@@ -1,156 +1,104 @@
-"""Differential equivalence harness: engine v3 ≡ engine v2, byte for byte.
+"""Recorded differential fixture: every run still serializes to the bytes
+the reference per-destination engine produced.
 
-Kernel v3 (batch dispatch, batched multicast fan-out, vectorized latency
-draws) is a pure performance engine: every run must serialize to exactly
-the bytes the v2 engine produces — histories, metrics, violations, the
-lot.  This suite is the proof:
+``tests/fixtures/golden_engine_diff.json`` holds, for a fixed seeded list
+of configurations, the sha256 of the canonical ``ScenarioResult`` JSON —
+histories, metrics, violations, the lot.  It was recorded on the commit
+before the batched multicast fan-out moved into :class:`~repro.sim.Network`
+(one kernel event per multicast, then; one per destination), so replaying
+it pins the batched path — and anything else that later touches the
+kernel, the network or the stack — against that reference:
 
-* **golden-fixture paths** — the committed golden tables regenerate
-  unchanged under v3 (Figure 4(a) on the 1500-round fixture trace), and
-  the churn scenario that ``golden_churn.json`` pins — partitions, loss,
-  view changes, the configuration that *latches the fast path off* —
-  diffs byte-identical between engines, as does the default-trace game
-  workload family;
-* **randomized configurations** — hypothesis drives group size, latency
-  model, relation, workload shape, consumption and seed through both
-  engines and compares the full serialized results.
+* **golden-fixture families** — the churn scenario that
+  ``golden_churn.json`` pins (partitions, loss, a view change triggered
+  mid-partition: the configuration that latches the batched path off) and
+  the default-trace game workload family;
+* **drawn configurations** — group size, latency model, relation, workload
+  shape, consumption, drain and view change drawn from a seeded generator.
 
-If a v3 change breaks equivalence, the failing configuration is in the
-hypothesis shrink output — re-run with that seed under both engines to
-bisect.
+The fixture stores the configurations next to their digests, and the test
+checks that list against :func:`entries`, so neither side can drift alone.
+To re-record (only ever on a tree whose output is the reference)::
+
+    PYTHONPATH=src python tests/sim/test_kernel_diff.py \
+        > tests/fixtures/golden_engine_diff.json
 """
 
+import hashlib
 import json
 import pathlib
+import random
+import sys
 
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from repro.scenario import Scenario
 
-FIXTURES = pathlib.Path(__file__).parent.parent / "fixtures"
-
-
-def _fingerprint(result):
-    """(engine, canonical-JSON-without-engine) of one ScenarioResult."""
-    data = result.to_dict()
-    engine = data["config"].pop("engine")
-    return engine, json.dumps(data, sort_keys=True)
-
-
-def assert_engines_agree(build, until):
-    """Run ``build()`` under v2 and v3; the serialized results must be
-    byte-identical except for the engine field itself."""
-    engine_a, bytes_a = _fingerprint(build().engine("v2").run(until))
-    engine_b, bytes_b = _fingerprint(build().engine("v3").run(until))
-    assert (engine_a, engine_b) == ("v2", "v3")
-    assert bytes_a == bytes_b
-
-
-# ----------------------------------------------------------------------
-# Golden-fixture paths
-# ----------------------------------------------------------------------
-
-
-class TestGoldenPathsUnderV3:
-    def test_figure_4a_regenerates_goldens_under_v3(self, monkeypatch):
-        """The committed Figure 4(a) table on the fixture trace must come
-        out identical when the throughput model runs on the v3 kernel."""
-        import repro.analysis.experiments as exp
-        import repro.analysis.throughput as throughput
-        from repro.sim.kernel import SimulatorV3
-        from repro.workload.game import GameConfig, generate_game_trace
-
-        monkeypatch.setattr(throughput, "Simulator", SimulatorV3)
-        golden = json.loads((FIXTURES / "golden_figure_4a.json").read_text())
-        spec = golden["trace"]
-        trace = generate_game_trace(
-            GameConfig(rounds=spec["rounds"], seed=spec["seed"])
-        )
-        rows = exp.figure_4a(
-            trace, buffer_size=golden["buffer_size"], rates=tuple(golden["rates"])
-        )
-        assert [list(row) for row in rows] == golden["rows"]
-
-    def test_churn_scenario_diffs_identical(self):
-        """The golden-churn configuration: partitions + loss + view change
-        triggered mid-partition.  Fault injection latches v3's fast path
-        off, so this pins the fallback path against v2 at full stack."""
-        from repro.analysis.experiments import CHURN_DEFAULTS as d
-        from repro.core.spec import LOSSY_CHECKS
-
-        def build():
-            return (
-                Scenario()
-                .group(
-                    n=d["n"],
-                    relation="item-tagging",
-                    consensus="oracle",
-                    seed=11,
-                    viewchange_retry=d["viewchange_retry"],
-                )
-                .workload("game", rounds=120)
-                .consumers(rate=d["consumer_rate"])
-                .faults(
-                    "partition-churn",
-                    side=list(d["side"]),
-                    at=d["at"],
-                    period=1.0,
-                    cycles=d["cycles"],
-                    closed_fraction=d["closed_fraction"],
-                    loss=0.05,
-                    trigger_during_partition=True,
-                )
-                .check(checks=LOSSY_CHECKS)
-                .histories()
-                .collect("throughput", "view_changes", "network", "purges")
-            )
-
-        assert_engines_agree(build, until=6.0)
-
-    def test_default_trace_family_diffs_identical(self):
-        """The game workload with the default-trace parameters (players,
-        fps, seed 2002 — the ``golden_default_trace.json`` family) at
-        test-scale length, full histories compared."""
-
-        def build():
-            return (
-                Scenario()
-                .group(n=5, relation="item-tagging", consensus="oracle", seed=2002)
-                .workload("game", players=5, rounds=120)
-                .consumers(rate=150.0)
-                .histories()
-                .collect("throughput", "purges", "network", "queue_depth")
-            )
-
-        assert_engines_agree(build, until=6.0)
-
-
-# ----------------------------------------------------------------------
-# Randomized configurations
-# ----------------------------------------------------------------------
-
-CONFIGS = st.fixed_dictionaries(
-    {
-        "n": st.integers(min_value=2, max_value=6),
-        "seed": st.integers(min_value=0, max_value=2**31 - 1),
-        # The game workload annotates with integer item tags, which the
-        # tagging/bitmap relations accept; message-enumeration needs id
-        # *sets* (a different encoder, see repro.analysis.throughput) and
-        # is exercised by the throughput golden path instead.
-        "relation": st.sampled_from(["item-tagging", "empty", "k-enumeration"]),
-        "latency": st.sampled_from(["constant", "uniform", "lognormal"]),
-        "rounds": st.integers(min_value=5, max_value=40),
-        "players": st.integers(min_value=2, max_value=4),
-        "consumers": st.sampled_from([None, 80.0, 250.0]),
-        "drain": st.sampled_from([None, 0.05, 0.2]),
-        "view_change_at": st.sampled_from([None, 0.5]),
-    }
+FIXTURE = (
+    pathlib.Path(__file__).parent.parent / "fixtures" / "golden_engine_diff.json"
 )
 
+#: The space the drawn configurations come from.  The game workload
+#: annotates with integer item tags, which the tagging/bitmap relations
+#: accept; message-enumeration needs id *sets* (a different encoder, see
+#: repro.analysis.throughput) and is pinned by ``golden_figure_4a.json``.
+SPACE = {
+    "n": [2, 3, 4, 5, 6],
+    "relation": ["item-tagging", "empty", "k-enumeration"],
+    "latency": ["constant", "uniform", "lognormal"],
+    "players": [2, 3, 4],
+    "consumers": [None, 80.0, 250.0],
+    "drain": [None, 0.05, 0.2],
+    "view_change_at": [None, 0.5],
+}
+DRAWN = 64
+DRAW_SEED = 20020623
 
-def _build_random(config):
+
+def _build_churn(config):
+    from repro.analysis.experiments import CHURN_DEFAULTS as d
+    from repro.core.spec import LOSSY_CHECKS
+
+    return (
+        Scenario()
+        .group(
+            n=d["n"],
+            relation="item-tagging",
+            consensus="oracle",
+            seed=config["seed"],
+            viewchange_retry=d["viewchange_retry"],
+        )
+        .workload("game", rounds=config["rounds"])
+        .consumers(rate=d["consumer_rate"])
+        .faults(
+            "partition-churn",
+            side=list(d["side"]),
+            at=d["at"],
+            period=1.0,
+            cycles=d["cycles"],
+            closed_fraction=d["closed_fraction"],
+            loss=config["loss"],
+            trigger_during_partition=True,
+        )
+        .check(checks=LOSSY_CHECKS)
+        .histories()
+        .collect("throughput", "view_changes", "network", "purges")
+    )
+
+
+def _build_default_trace(config):
+    return (
+        Scenario()
+        .group(n=config["n"], relation="item-tagging", consensus="oracle",
+               seed=config["seed"])
+        .workload("game", players=config["players"], rounds=config["rounds"])
+        .consumers(rate=config["consumers"])
+        .histories()
+        .collect("throughput", "purges", "network", "queue_depth")
+    )
+
+
+def _build_drawn(config):
     spec = (
         Scenario()
         .group(
@@ -173,12 +121,72 @@ def _build_random(config):
     return spec
 
 
-class TestRandomizedDifferential:
-    @settings(
-        max_examples=60,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+BUILDERS = {
+    "churn": _build_churn,
+    "default-trace": _build_default_trace,
+    "drawn": _build_drawn,
+}
+
+
+def entries():
+    """The fixed list of (name, builder key, config, until) to replay."""
+    out = [
+        ("churn", "churn", {"seed": 11, "rounds": 120, "loss": 0.05}, 6.0),
+        ("default-trace", "default-trace",
+         {"n": 5, "seed": 2002, "players": 5, "rounds": 120,
+          "consumers": 150.0}, 6.0),
+    ]
+    rng = random.Random(DRAW_SEED)
+    for i in range(DRAWN):
+        config = {key: rng.choice(values) for key, values in SPACE.items()}
+        config["seed"] = rng.randrange(2**31)
+        config["rounds"] = rng.randint(5, 40)
+        out.append((f"drawn-{i:02d}", "drawn", config, 2.0))
+    return [
+        {"name": name, "build": build, "config": config, "until": until}
+        for name, build, config, until in out
+    ]
+
+
+def digest(entry):
+    """sha256 of the canonical result JSON of one entry's run."""
+    result = BUILDERS[entry["build"]](entry["config"]).run(entry["until"])
+    data = result.to_dict()
+    # The recording tree carried an engine selector in the config; the
+    # digest is over everything else.
+    data["config"].pop("engine", None)
+    canonical = json.dumps(data, sort_keys=True)
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+# Not read when recording: the shell redirect has already truncated it.
+RECORDED = (
+    [] if __name__ == "__main__" else json.loads(FIXTURE.read_text())["entries"]
+)
+
+
+class TestRecordedDifferential:
+    def test_fixture_lists_exactly_the_entries_replayed(self):
+        recorded = [
+            {k: v for k, v in entry.items() if k != "sha256"}
+            for entry in RECORDED
+        ]
+        assert recorded == entries()
+        assert len(recorded) >= 62
+
+    def test_drawn_configs_cover_the_space(self):
+        drawn = [e["config"] for e in entries() if e["build"] == "drawn"]
+        for key, values in SPACE.items():
+            assert {c[key] for c in drawn} == set(values), key
+
+    @pytest.mark.parametrize(
+        "entry", RECORDED, ids=lambda entry: entry["name"]
     )
-    @given(config=CONFIGS)
-    def test_engines_byte_identical(self, config):
-        assert_engines_agree(lambda: _build_random(config), until=2.0)
+    def test_replays_byte_identical(self, entry):
+        assert digest(entry) == entry["sha256"], entry["config"]
+
+
+if __name__ == "__main__":
+    recorded = [dict(entry, sha256=digest(entry)) for entry in entries()]
+    json.dump({"entries": recorded}, sys.stdout, indent=1)
+    sys.stdout.write("\n")

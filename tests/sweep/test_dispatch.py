@@ -222,18 +222,6 @@ class TestPortability:
         with pytest.raises(SweepError, match="portable"):
             context_spec(bare)
 
-    def test_trace_context_spec_rebuilds_with_engine(self):
-        from repro.analysis.experiments import TraceContext, _trace_engine
-        from repro.workload import portable_workload
-
-        ctx = TraceContext(portable_workload("game", rounds=120), engine="v3")
-        spec = ctx.worker_recipe()
-        rebuilt = worker_mod.build_context(spec)
-        trace, engine = _trace_engine(rebuilt)
-        assert engine == "v3"
-        assert trace.cache_token() == ctx.trace.cache_token()
-        assert ctx.cache_token().endswith("|engine=v3")
-
 
 class TestWorkerProtocol:
     """Drive the worker loop in-process over text streams."""
