@@ -16,7 +16,6 @@ from repro.analysis.experiments import (
     workload_stats,
 )
 from repro.analysis.throughput import (
-    SlowReceiverSimulation,
     ThroughputConfig,
     ThroughputResult,
     perturbation_tolerance,
@@ -31,7 +30,6 @@ from repro.analysis.viewchange import (
 __all__ = [
     "ThroughputConfig",
     "ThroughputResult",
-    "SlowReceiverSimulation",
     "run_slow_receiver",
     "threshold_rate",
     "perturbation_tolerance",

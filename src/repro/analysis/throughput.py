@@ -18,6 +18,33 @@ group performance."  The model:
   messages (freeing its own slot even when the buffer is full); under the
   **reliable** protocol (empty relation) nothing is ever purged.
 
+That is a deterministic single-server queue with at most three pending
+instants — the next injection, the service completion, a one-shot consumer
+stall — so :func:`_simulate` is a recurrence over them, not a run of the
+event kernel.  Both arms go through the same loop and the same
+:class:`~repro.core.buffers.DeliveryQueue` calls (``try_append``, ``pop``,
+``len``), so semantic and reliable numbers are comparable by construction.
+
+The model used to run on the discrete-event kernel (:mod:`repro.sim`), and
+every committed figure (``golden_figure_4a.json``, the golden report,
+``golden_slow_receiver.json``) was produced there.  The recurrence keeps those bits by
+keeping the kernel's arithmetic and order:
+
+* an injection due at ``due + offset`` happens at ``now + max(0.0, due +
+  offset - now)`` and a service started now ends at ``now + 1/rate`` —
+  the kernel's ``now + delay``, which is not ``due + offset`` in floats;
+* instants that coincide run in the order the kernel would have numbered
+  them: the stall first (it is scheduled before anything else), then
+  whichever of injection and completion was scheduled earlier.  An
+  accepted injection starts an idle consumer *before* it schedules its
+  successor; a completion that unblocks the producer retries the
+  injection — service start, successor — in place of its own re-arm;
+* the producer is refused only when the message purged nothing (a purge
+  frees a slot), so occupancy does not move on a refusal;
+* the stall counts as an executed instant even when nothing else is
+  pending, and so does a completion the stall has already cancelled: the
+  run ends at the last instant executed.
+
 Outputs map to the paper's figures:
 
 * producer idle % (Figure 4(a)) = 100 × (1 − blocked fraction);
@@ -33,20 +60,19 @@ representation with ``k = 2 × buffer size`` (Section 5.2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+import weakref
+from dataclasses import dataclass
+from math import inf
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.buffers import DeliveryQueue
 from repro.core.message import DataMessage
 from repro.core.obsolescence import EmptyRelation, ObsolescenceRelation
-from repro.metrics.collectors import BusyTracker
-from repro.sim.kernel import Simulator
 from repro.workload.trace import Trace, to_data_messages
 
 __all__ = [
     "ThroughputConfig",
     "ThroughputResult",
-    "SlowReceiverSimulation",
     "run_slow_receiver",
     "threshold_rate",
     "perturbation_tolerance",
@@ -77,6 +103,8 @@ class ThroughputConfig:
             raise ValueError("buffer size must be positive")
         if self.consumer_rate <= 0:
             raise ValueError("consumer rate must be positive")
+        if self.stall_at is not None and self.stall_at < 0:
+            raise ValueError("stall time must not be negative")
 
 
 @dataclass(frozen=True)
@@ -107,243 +135,211 @@ class ThroughputResult:
 
 
 # ----------------------------------------------------------------------
-# Annotation cache: re-annotating 16k messages per sweep point is the
+# Annotation memo: re-annotating 16k messages per sweep point is the
 # dominant cost, and the annotation depends only on (trace, repr, k).
 # ----------------------------------------------------------------------
 
-_annotation_cache: Dict[Tuple[int, str, int], Tuple[List[DataMessage], ObsolescenceRelation]] = {}
+_Annotated = Tuple[List[DataMessage], ObsolescenceRelation]
+
+#: ``id(trace) -> (weak reference to that trace, {(repr, k): annotation})``.
+#: ``Trace`` compares by value and is unhashable, hence the ``id`` key; the
+#: weak reference's callback drops the entry with its trace, so a recycled
+#: ``id`` never finds another trace's messages.
+_annotation_cache: Dict[
+    int, Tuple["weakref.ref[Trace]", Dict[Tuple[str, int], _Annotated]]
+] = {}
 
 
-def annotated_messages(
-    trace: Trace, representation: str, k: int
-) -> Tuple[List[DataMessage], ObsolescenceRelation]:
+def annotated_messages(trace: Trace, representation: str, k: int) -> _Annotated:
     """Annotate (with memoisation) a trace under the given representation."""
-    key = (id(trace), representation, k)
-    cached = _annotation_cache.get(key)
+    key = id(trace)
+    entry = _annotation_cache.get(key)
+    if entry is None or entry[0]() is not trace:
+
+        def evict(ref: "weakref.ref[Trace]") -> None:
+            if _annotation_cache.get(key, (None,))[0] is ref:
+                del _annotation_cache[key]
+
+        entry = _annotation_cache[key] = (weakref.ref(trace, evict), {})
+    annotations = entry[1]
+    cached = annotations.get((representation, k))
     if cached is None:
-        cached = to_data_messages(trace, representation=representation, k=k)
-        _annotation_cache[key] = cached
+        cached = annotations[representation, k] = to_data_messages(
+            trace, representation=representation, k=k
+        )
     return cached
 
 
-class SlowReceiverSimulation:
-    """One producer / bounded buffer / one slow consumer, event-driven."""
+# ----------------------------------------------------------------------
+# The model
+# ----------------------------------------------------------------------
 
-    __slots__ = (
-        "messages", "config", "sim", "queue", "_service_time", "_schedule",
-        "_n_messages", "_cursor", "_offset", "_blocked_since",
-        "_consumer_busy", "_consumer_paused", "_stopped", "blocked",
-        "_occ_last", "_occ_val", "_occ_sum", "_occ_max",
-        "first_block_time", "delivered", "finish_time",
+
+def _simulate(
+    trace: Trace, config: ThroughputConfig, probes: Iterable[float] = ()
+) -> Tuple[ThroughputResult, List[Optional[float]]]:
+    """One run of the model, as a merge over its pending instants.
+
+    ``probes`` (ascending instants; only read when the run itself has no
+    stall) asks a question per instant without disturbing the run: had the
+    consumer stopped for good right then, when would the producer first
+    have blocked?  The answers — ``None`` for never — come back beside
+    the result, in order.
+    """
+    messages, relation = annotated_messages(
+        trace, config.representation, config.effective_k()
     )
+    if not config.semantic:
+        relation = EmptyRelation()
+    n = len(messages)
+    queue = DeliveryQueue(relation, capacity=config.buffer_size)
+    try_append, pop = queue.try_append, queue.pop
+    service = 1.0 / config.consumer_rate
+    stall_at = config.stall_at
+    watch_from = stall_at or 0.0
+    stop_on_block = config.stop_on_first_block
+    # The stall and the probes share one slot of the merge: each is an
+    # instant that goes before anything else due at the same time.
+    instants = iter(probes if stall_at is None else (stall_at,))
+    t_stall = next(instants, inf)
+    first_blocks: List[Optional[float]] = []
 
-    def __init__(
-        self,
-        messages: Sequence[DataMessage],
-        relation: ObsolescenceRelation,
-        config: ThroughputConfig,
-    ) -> None:
-        self.messages = messages
-        self.config = config
-        self.sim = Simulator()
-        self.queue = DeliveryQueue(relation, capacity=config.buffer_size)
-        # Hot-path caches: the service period, the kernel's schedule entry
-        # point and the occupancy recorder are looked up once, not per event.
-        self._service_time = 1.0 / config.consumer_rate
-        self._schedule = self.sim.schedule
-        self._n_messages = len(messages)
+    now = finish = offset = blocked_total = occ_sum = occ_last = 0.0
+    cursor = delivered = occ_val = occ_max = 0
+    blocked_since: Optional[float] = None
+    first_block: Optional[float] = None
+    paused = False
+    # Pending instants (inf = none).  A service is pending exactly while
+    # the consumer is busy; no injection is pending while the producer is
+    # blocked.  ``srv_older``: the pending service was scheduled before the
+    # pending injection, so it goes first when the two coincide.
+    t_inj = t_srv = inf
+    srv_older = False
+    if n:
+        delay = messages[0].payload.time + offset - now
+        t_inj = now + (delay if delay > 0.0 else 0.0)
 
-        self._cursor = 0  # next message index to inject
-        self._offset = 0.0  # cumulative producer stall
-        self._blocked_since: Optional[float] = None
-        self._consumer_busy = False
-        self._consumer_paused = False
-        self._stopped = False
-
-        self.blocked = BusyTracker()
-        # Time-weighted occupancy, accumulated inline (the TimeWeightedStat
-        # call per queue transition was measurable; same math, no calls).
-        self._occ_last = 0.0
-        self._occ_val = 0.0
-        self._occ_sum = 0.0
-        self._occ_max = 0.0
-        self.first_block_time: Optional[float] = None
-        self.delivered = 0
-        self.finish_time = 0.0
-
-    # ------------------------------------------------------------------
-    # Producer
-    # ------------------------------------------------------------------
-
-    def _schedule_next_injection(self) -> None:
-        if self._cursor >= len(self.messages) or self._stopped:
-            return
-        msg = self.messages[self._cursor]
-        due = msg.payload.time + self._offset
-        delay = due - self.sim.now
-        self._schedule(delay if delay > 0.0 else 0.0, self._inject)
-
-    def _inject(self) -> None:
-        if self._stopped:
-            return
-        msg = self.messages[self._cursor]
-        # Inlined DeliveryQueue.try_append (the queue method remains the
-        # reference implementation; the golden fixtures pin equivalence).
-        # One offered message per call — this is the model's hottest path.
-        queue = self.queue
-        index = queue._live_index
-        if index is not None:
-            candidates = index.obsoleted_by(msg)
-            if candidates:
-                queue._remove_msgs(candidates, exclude=msg.mid)
-        elif not queue._inert:
-            queue.purge_by(msg)
-        stats = queue.stats
-        if queue._size < self.config.buffer_size:
-            if queue._doomed and msg.mid in queue._doomed:
-                queue._compact()
-            queue._items.append(msg)
-            queue._mids.add(msg.mid)
-            if index is not None:
-                index.add(msg)
-            queue._size += 1
-            stats.appended += 1
-            if queue._size > stats.max_len:
-                stats.max_len = queue._size
-            accepted = True
-        else:
-            stats.rejected += 1
-            accepted = False
-        if accepted:
-            now = self.sim.now
-            self._occ_sum += self._occ_val * (now - self._occ_last)
-            self._occ_last = now
-            value = self._occ_val = self.queue._size
-            if value > self._occ_max:
-                self._occ_max = value
-            cursor = self._cursor = self._cursor + 1
-            self.finish_time = now
-            if not self._consumer_busy and not self._consumer_paused and self.queue._size:
-                self._consumer_busy = True
-                self._schedule(self._service_time, self._complete_service)
-            # Inlined _schedule_next_injection (one call per offered message).
-            if cursor < self._n_messages:
-                delay = self.messages[cursor].payload.time + self._offset - now
-                self._schedule(delay if delay > 0.0 else 0.0, self._inject)
+    while True:
+        serve = t_srv < t_inj or (srv_older and t_srv == t_inj)
+        t = t_srv if serve else t_inj
+        if t_stall <= t:
+            if t_stall == inf:
+                break  # nothing left to happen
+            if stall_at is None:
+                first_blocks.append(
+                    _first_block_after_stall(
+                        messages, queue, cursor, offset, t_inj
+                    )
+                )
+            else:
+                now = t_stall
+                paused = True
+            t_stall = next(instants, inf)
+            continue
+        now = t
+        if serve:
+            t_srv = inf
+            if paused:
+                continue  # cancelled by the stall; only the clock moves
+            pop()
+            delivered += 1
+            occ_sum += occ_val * (now - occ_last)
+            occ_last = now
+            occ_val = len(queue)
+            if blocked_since is None:
+                if occ_val:
+                    t_srv = now + service
+                    srv_older = False
+                continue
+            # Flow control releases: the producer slips by the time it was
+            # blocked and retries at this very instant.  The pop has just
+            # freed a slot, so the retry below is always accepted, and it
+            # starts the next service itself.
+            stalled = now - blocked_since
+            offset += stalled
+            blocked_total += stalled
+            blocked_since = None
+        if try_append(messages[cursor]):
+            occ_sum += occ_val * (now - occ_last)
+            occ_last = now
+            occ_val = len(queue)
+            if occ_val > occ_max:
+                occ_max = occ_val
+            cursor += 1
+            finish = now
+            if t_srv == inf and not paused:
+                t_srv = now + service
+            if cursor < n:
+                delay = messages[cursor].payload.time + offset - now
+                t_inj = now + (delay if delay > 0.0 else 0.0)
+                srv_older = True
+            else:
+                t_inj = inf
         else:
             # Flow control: block until the consumer frees a slot.
-            self._blocked_since = self.sim.now
-            self.blocked.enter(self.sim.now)
-            watch_from = self.config.stall_at or 0.0
-            if self.first_block_time is None and self.sim.now >= watch_from:
-                self.first_block_time = self.sim.now
-                if self.config.stop_on_first_block:
-                    self._stopped = True
-                    self.sim.stop()
+            t_inj = inf
+            blocked_since = now
+            if first_block is None and now >= watch_from:
+                first_block = now
+                if stop_on_block:
+                    break
 
-    def _unblock(self) -> None:
-        """Called after a consumer pop while the producer is blocked."""
-        if self._blocked_since is None or self._stopped:
-            return
-        stall = self.sim.now - self._blocked_since
-        self._offset += stall
-        self.blocked.leave(self.sim.now)
-        self._blocked_since = None
-        self._inject()
-
-    # ------------------------------------------------------------------
-    # Consumer: a server taking 1/rate per message; the message occupies
-    # its buffer slot until service completes.
-    # ------------------------------------------------------------------
-
-    def _kick_consumer(self) -> None:
-        if self._consumer_busy or self._consumer_paused:
-            return
-        if not self.queue:
-            return
-        self._consumer_busy = True
-        self._schedule(self._service_time, self._complete_service)
-
-    def _complete_service(self) -> None:
-        if self._consumer_paused:
-            # A stall hit mid-service: the message completes only after
-            # resume (permanent stalls never resume in this model).
-            self._consumer_busy = False
-            return
-        queue = self.queue
-        if queue._size:
-            # Inlined DeliveryQueue.pop (head is live unless tombstoned).
-            if queue._doomed:
-                queue._reclaim_head()
-            head = queue._items.pop(0)
-            queue._mids.discard(head.mid)
-            if queue._live_index is not None:
-                queue._live_index.discard(head)
-            queue._size -= 1
-            queue.stats.popped += 1
-            self.delivered += 1
-            now = self.sim.now
-            self._occ_sum += self._occ_val * (now - self._occ_last)
-            self._occ_last = now
-            self._occ_val = queue._size
-        self._consumer_busy = False
-        if self._blocked_since is not None:
-            self._unblock()
-        if not self._consumer_busy and not self._consumer_paused and queue._size:
-            self._consumer_busy = True
-            self._schedule(self._service_time, self._complete_service)
-
-    def _pause_consumer(self) -> None:
-        self._consumer_paused = True
-
-    # ------------------------------------------------------------------
-    # Run
-    # ------------------------------------------------------------------
-
-    def run(self) -> ThroughputResult:
-        if self.config.stall_at is not None:
-            self.sim.schedule_at(self.config.stall_at, self._pause_consumer)
-        self._schedule_next_injection()
-        self.sim.run()
-
-        end = max(self.sim.now, self.finish_time)
-        self.blocked.finish(end)
-        # Close the occupancy integral at the end time.
-        self._occ_sum += self._occ_val * (end - self._occ_last)
-        self._occ_last = end
-        injected_all = self._cursor >= len(self.messages)
-        duration = self.finish_time if injected_all else end
-        blocked_fraction = (
-            self.blocked.total_busy / duration if duration > 0 else 0.0
-        )
-        return ThroughputResult(
-            config=self.config,
-            duration=duration,
-            blocked_fraction=blocked_fraction,
-            mean_occupancy=(self._occ_sum / end) if end > 0 else 0.0,
-            max_occupancy=int(self._occ_max),
-            offered=self._cursor,
-            delivered=self.delivered,
-            purged=self.queue.stats.purged,
-            first_block_time=self.first_block_time,
-            completed=injected_all,
-        )
+    end = now  # the last instant executed (never before ``finish``)
+    if blocked_since is not None:
+        blocked_total += end - blocked_since
+    occ_sum += occ_val * (end - occ_last)
+    completed = cursor >= n
+    duration = finish if completed else end
+    result = ThroughputResult(
+        config=config,
+        duration=duration,
+        blocked_fraction=blocked_total / duration if duration > 0 else 0.0,
+        mean_occupancy=occ_sum / end if end > 0 else 0.0,
+        max_occupancy=occ_max,
+        offered=cursor,
+        delivered=delivered,
+        purged=queue.stats.purged,
+        first_block_time=first_block,
+        completed=completed,
+    )
+    return result, first_blocks
 
 
+def _first_block_after_stall(
+    messages: Sequence[DataMessage],
+    queue: DeliveryQueue,
+    cursor: int,
+    offset: float,
+    t_inj: float,
+) -> Optional[float]:
+    """When the producer first blocks if the consumer never serves again.
+
+    The arguments are a run's state just before the stall: its live buffer
+    (copied, not touched), the next message, the producer's accumulated
+    slip and the pending injection instant — ``inf`` when the trace is
+    exhausted or the producer is already blocked, which without a consumer
+    it stays: no *first* block after the stall, ``None``.
+    """
+    if t_inj == inf:
+        return None
+    buffer = DeliveryQueue(queue.relation, capacity=queue.capacity)
+    for queued in queue:
+        buffer.try_append(queued)
+    n = len(messages)
+    now = t_inj
+    while buffer.try_append(messages[cursor]):
+        cursor += 1
+        if cursor == n:
+            return None
+        delay = messages[cursor].payload.time + offset - now
+        if delay > 0.0:
+            now = now + delay
+    return now
 
 
 def run_slow_receiver(trace: Trace, config: ThroughputConfig) -> ThroughputResult:
     """Run the Section 5.3 model for one parameter point."""
-    if config.semantic:
-        messages, relation = annotated_messages(
-            trace, config.representation, config.effective_k()
-        )
-    else:
-        messages, relation = annotated_messages(
-            trace, config.representation, config.effective_k()
-        )
-        relation = EmptyRelation()
-    return SlowReceiverSimulation(messages, relation, config).run()
+    return _simulate(trace, config)[0]
 
 
 def threshold_rate(
@@ -399,23 +395,23 @@ def perturbation_tolerance(
     horizon = trace.duration
     if probes <= 0 or horizon <= warmup:
         raise ValueError("need probes > 0 and a trace longer than the warmup")
+    stalls = [
+        warmup + (horizon - 2 * warmup) * i / max(1, probes - 1)
+        for i in range(probes)
+    ]
+    # One stable pass answers every probe: up to a stall, a stalled run
+    # and the un-stalled one are the same run.
+    config = ThroughputConfig(
+        buffer_size=buffer_size,
+        consumer_rate=fast_rate,
+        semantic=semantic,
+        representation=representation,
+    )
+    in_order = sorted(stalls)
+    first_block = dict(zip(in_order, _simulate(trace, config, in_order)[1]))
     tolerances: List[float] = []
-    for i in range(probes):
-        stall_at = warmup + (horizon - 2 * warmup) * i / max(1, probes - 1)
-        result = run_slow_receiver(
-            trace,
-            ThroughputConfig(
-                buffer_size=buffer_size,
-                consumer_rate=fast_rate,
-                semantic=semantic,
-                representation=representation,
-                stall_at=stall_at,
-                stop_on_first_block=True,
-            ),
-        )
-        if result.first_block_time is not None:
-            tolerances.append(result.first_block_time - stall_at)
-        else:
-            # Never blocked: the whole remaining trace was absorbed.
-            tolerances.append(horizon - stall_at)
+    for stall_at in stalls:
+        blocked_at = first_block[stall_at]
+        # Never blocked: the whole remaining trace was absorbed.
+        tolerances.append((horizon if blocked_at is None else blocked_at) - stall_at)
     return sum(tolerances) / len(tolerances)

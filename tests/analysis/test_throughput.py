@@ -4,15 +4,23 @@ Validated against closed-form expectations on the analytic traffic
 patterns, then sanity-checked on the game trace.
 """
 
+import gc
+
 import pytest
 
+from repro.analysis import throughput
 from repro.analysis.throughput import (
     ThroughputConfig,
+    annotated_messages,
     perturbation_tolerance,
     run_slow_receiver,
     threshold_rate,
 )
-from repro.workload.patterns import periodic_updates, single_item_stream
+from repro.workload.patterns import (
+    mixed_stream,
+    periodic_updates,
+    single_item_stream,
+)
 
 
 class TestFastConsumer:
@@ -135,6 +143,31 @@ class TestThresholdSearch:
         assert sem < mean_rate
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("semantic", [True, False])
+@pytest.mark.parametrize("buffer_size", [4, 28])
+def test_threshold_bisection_agrees_with_exhaustive_scan(
+    short_game_trace, buffer_size, semantic
+):
+    """``threshold_rate`` bisects on "blocking is monotone in the rate";
+    here every integer rate is run, on the golden 1500-round trace."""
+    lo, hi = 1, 200
+    disturbed = [
+        run_slow_receiver(
+            short_game_trace,
+            ThroughputConfig(
+                buffer_size=buffer_size, consumer_rate=float(rate),
+                semantic=semantic,
+            ),
+        ).blocked_fraction > 0.05
+        for rate in range(lo, hi + 1)
+    ]
+    scan = lo + disturbed.index(False)
+    assert threshold_rate(short_game_trace, buffer_size, semantic) == scan
+    # Monotone: disturbed at every rate below the threshold, at none above.
+    assert all(disturbed[: scan - lo]) and not any(disturbed[scan - lo :])
+
+
 class TestPerturbationTolerance:
     def test_reliable_tolerance_scales_with_buffer(self, short_game_trace):
         small = perturbation_tolerance(short_game_trace, 8, semantic=False, probes=4)
@@ -160,7 +193,121 @@ class TestPerturbationTolerance:
             perturbation_tolerance(short_game_trace, 10, semantic=True, probes=0)
 
 
+def tolerance_by_stalled_runs(
+    trace, buffer_size, semantic, probes=8, fast_rate=5_000.0, warmup=20.0
+):
+    """Figure 5(b) the long way: one stalled run per probe."""
+    horizon = trace.duration
+    tolerances = []
+    for i in range(probes):
+        stall_at = warmup + (horizon - 2 * warmup) * i / max(1, probes - 1)
+        result = run_slow_receiver(
+            trace,
+            ThroughputConfig(
+                buffer_size=buffer_size, consumer_rate=fast_rate,
+                semantic=semantic, stall_at=stall_at, stop_on_first_block=True,
+            ),
+        )
+        tolerances.append(
+            (horizon if result.first_block_time is None else result.first_block_time)
+            - stall_at
+        )
+    return sum(tolerances) / len(tolerances)
+
+
+class TestProbesShareOnePass:
+    """``perturbation_tolerance`` answers every probe from one un-stalled
+    pass; the answer must be the one a stalled run per probe gives."""
+
+    @pytest.mark.parametrize("semantic", [True, False])
+    @pytest.mark.parametrize("buffer_size", [8, 24])
+    def test_game_trace(self, short_game_trace, buffer_size, semantic):
+        assert perturbation_tolerance(
+            short_game_trace, buffer_size, semantic, probes=5, warmup=5.0
+        ) == tolerance_by_stalled_runs(
+            short_game_trace, buffer_size, semantic, probes=5, warmup=5.0
+        )
+
+    @pytest.mark.parametrize("semantic", [True, False])
+    def test_producer_already_blocked_at_the_stall(self, semantic):
+        """A 5 msg/s consumer against 50 msg/s of never-obsolete traffic:
+        every probe finds the producer blocked, nothing is ever retried,
+        so there is no *first* block after the stall."""
+        trace = mixed_stream(messages=1000, rate=50.0, reliable_share=1.0)
+        kwargs = dict(probes=2, fast_rate=5.0, warmup=4.1)  # off the 0.2 s lattice
+        expected = tolerance_by_stalled_runs(trace, 4, semantic, **kwargs)
+        assert perturbation_tolerance(trace, 4, semantic, **kwargs) == expected
+        stalls = (4.1, trace.duration - 4.1)
+        assert expected == sum(trace.duration - s for s in stalls) / 2
+
+    @pytest.mark.parametrize("semantic", [True, False])
+    def test_producer_never_blocks_again(self, semantic):
+        """Fewer messages remain after the stall than the buffer holds."""
+        trace = periodic_updates(items=100, messages=100, rate=10.0)
+        kwargs = dict(probes=1, warmup=8.0)
+        expected = tolerance_by_stalled_runs(trace, 30, semantic, **kwargs)
+        assert perturbation_tolerance(trace, 30, semantic, **kwargs) == expected
+        assert expected == trace.duration - 8.0
+
+    def test_probes_that_step_backwards(self, short_game_trace):
+        """``warmup < horizon < 2 × warmup`` spreads the probes in
+        descending order; the shared pass visits them ascending."""
+        kwargs = dict(probes=4, warmup=30.0)
+        assert perturbation_tolerance(
+            short_game_trace, 12, True, **kwargs
+        ) == tolerance_by_stalled_runs(short_game_trace, 12, True, **kwargs)
+
+
+class TestAnnotationMemo:
+    def test_repeated_call_returns_the_same_objects(self, tiny_game_trace):
+        first = annotated_messages(tiny_game_trace, "k-enumeration", 16)
+        again = annotated_messages(tiny_game_trace, "k-enumeration", 16)
+        assert again[0] is first[0] and again[1] is first[1]
+        other = annotated_messages(tiny_game_trace, "k-enumeration", 8)
+        assert other[0] is not first[0]
+
+    def test_entry_dies_with_its_trace(self):
+        gc.collect()
+        before = set(throughput._annotation_cache)
+        trace = periodic_updates(items=3, messages=20, rate=10.0)
+        annotated_messages(trace, "tagging", 4)
+        annotated_messages(trace, "k-enumeration", 4)
+        assert set(throughput._annotation_cache) - before == {id(trace)}
+        del trace
+        gc.collect()
+        assert set(throughput._annotation_cache) == before
+
+    def test_short_lived_traces_leave_nothing_behind(self):
+        gc.collect()
+        before = len(throughput._annotation_cache)
+        for i in range(300):
+            trace = single_item_stream(messages=5, rate=10.0 + i)
+            run_slow_receiver(trace, ThroughputConfig(buffer_size=2))
+        del trace
+        gc.collect()
+        assert len(throughput._annotation_cache) == before
+
+    def test_recycled_id_does_not_alias(self):
+        """An entry whose trace is gone must never be served to the trace
+        that now lives at the same address."""
+        trace = periodic_updates(items=3, messages=20, rate=10.0)
+        other = single_item_stream(messages=7, rate=10.0)
+        annotated_messages(other, "tagging", 4)
+        # Plant ``other``'s entry under ``trace``'s id, as a recycled id
+        # would find it had the entry outlived its trace.
+        throughput._annotation_cache[id(trace)] = (
+            throughput._annotation_cache[id(other)]
+        )
+        messages, _ = annotated_messages(trace, "tagging", 4)
+        assert len(messages) == 20
+
+
 class TestConfigValidation:
+    def test_negative_stall(self):
+        with pytest.raises(ValueError):
+            ThroughputConfig(stall_at=-1.0)
+
+
     def test_bad_buffer(self):
         with pytest.raises(ValueError):
             ThroughputConfig(buffer_size=0)

@@ -1,20 +1,21 @@
-"""Acceptance: the multiprocess executor actually buys wall-clock.
+"""Acceptance: two pooled workers do the same work as one process, and
+both of them do a fair share of it.
 
-An 8×5-cell sweep with 2 workers must run at least 1.7× faster than the
-same sweep serially.  Needs ≥2 usable CPUs — skipped (not failed) on
-single-core runners, where no executor could deliver a speedup.
+Neither check reads a clock.  How much wall-clock the pool buys is the
+performance ledger's ``sweep.dispatch.pool_speedup`` (``python3 -m bench
+run --workload sweep_pool2``), measured there over repeated runs; asserted
+here as a ratio it failed on a busy 2-vCPU box about every other run.
 """
 
+import collections
 import os
 import time
 
 import pytest
 
-from repro.sweep import ScenarioSweep
+from repro.sweep import ScenarioSweep, Sweep
 
 pytestmark = pytest.mark.slow
-
-CPUS = len(os.sched_getaffinity(0))
 
 BASE = {
     "until": 20.0,
@@ -36,22 +37,25 @@ def make_sweep():
     )
 
 
-@pytest.mark.skipif(CPUS < 2, reason=f"needs >=2 CPUs, have {CPUS}")
-def test_two_workers_at_least_1_7x_faster_than_serial():
+def test_two_workers_match_serial_bytes():
     sweep = make_sweep()
     assert sweep.n_cells == 40
+    assert sweep.run(workers=0).to_json() == sweep.run(workers=2).to_json()
 
-    start = time.perf_counter()
-    serial = sweep.run(workers=0)
-    t_serial = time.perf_counter() - start
 
-    start = time.perf_counter()
-    parallel = sweep.run(workers=2)
-    t_parallel = time.perf_counter() - start
+# Module-level so the pool can pickle it.
+def pid_cell(params, seed, context):
+    time.sleep(0.03)  # sleep-bound: the split does not depend on free CPUs
+    return {"pid": float(os.getpid())}
 
-    assert serial.to_json() == parallel.to_json()  # speed, not drift
-    speedup = t_serial / t_parallel
-    assert speedup >= 1.7, (
-        f"2-worker sweep only {speedup:.2f}x faster "
-        f"(serial {t_serial:.2f}s, parallel {t_parallel:.2f}s)"
+
+def test_two_workers_share_the_cells():
+    cells = 40
+    result = Sweep().axis("x", list(range(cells))).run(pid_cell, workers=2)
+    assert result.n_runs == cells
+    per_worker = collections.Counter(
+        int(cell.value("pid")) for cell in result.cells
     )
+    assert len(per_worker) == 2, per_worker
+    assert os.getpid() not in per_worker
+    assert min(per_worker.values()) >= cells // 3, per_worker
