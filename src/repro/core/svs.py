@@ -108,6 +108,12 @@ class SVSListeners:
     """on_pred(pid, local_pred_size) — fired at t5; measures the view-change
     payload (the stability-tracking ablation compares these)."""
 
+    on_enqueue: Optional[Callable[[ProcessId], None]] = None
+    """on_enqueue(pid) — fired after every append to the delivery queue (t2
+    self-delivery, t3 reception, the installation flush + VIEW, WELCOME)
+    and once at crash.  A consumer sleeping on an empty queue wakes on it
+    (see :class:`repro.gcs.endpoint.RateLimitedConsumer`)."""
+
 
 class SVSProcess(SimProcess):
     """One group member running the Figure 1 protocol.
@@ -308,6 +314,8 @@ class SVSProcess(SimProcess):
         # destination set, so the network can memoize the group.
         self.send_multicast(self._peers, envelope, token=(self.pid, cv.vid))
         self.to_deliver.purge_by(msg)
+        if self.listeners.on_enqueue is not None:
+            self.listeners.on_enqueue(self.pid)
         self._note_processed(msg)
         if self.listeners.on_multicast is not None:
             self.listeners.on_multicast(self.pid, msg)
@@ -421,6 +429,8 @@ class SVSProcess(SimProcess):
         # Only the arriving message can introduce new dominations, so the
         # fused single-message purge equals Figure 1's full purge here.
         self.to_deliver.append_purge(msg)
+        if self.listeners.on_enqueue is not None:
+            self.listeners.on_enqueue(self.pid)
 
     def _covered(self, msg: DataMessage, deep: Optional[bool] = None) -> bool:
         """Is ``msg`` ⊑-covered by the messages accepted for delivery?
@@ -617,6 +627,8 @@ class SVSProcess(SimProcess):
                 added += 1
         self.to_deliver.purge()
         self.to_deliver.append(ViewDelivery(next_view))
+        if self.listeners.on_enqueue is not None:
+            self.listeners.on_enqueue(self.pid)
         if self.listeners.on_flush is not None:
             self.listeners.on_flush(self.pid, len(flush), added)
 
@@ -666,8 +678,14 @@ class SVSProcess(SimProcess):
         # created (first message for the new view, or our own t7).
 
     # ------------------------------------------------------------------
-    # Rejoin (the recover/welcome extension; see repro.faults)
+    # Crash and rejoin (the recover/welcome extension; see repro.faults)
     # ------------------------------------------------------------------
+
+    def on_crash(self) -> None:
+        # A consumer sleeping on the queue must wake to observe the crash
+        # at its next service instant, as a polling one would.
+        if self.listeners.on_enqueue is not None:
+            self.listeners.on_enqueue(self.pid)
 
     def recover(self) -> None:
         """Revive a crashed (or excluded) process as a fresh joiner.
@@ -735,6 +753,8 @@ class SVSProcess(SimProcess):
         self.blocked = False
         self.cv = welcome.view
         self.to_deliver.append(ViewDelivery(welcome.view))
+        if self.listeners.on_enqueue is not None:
+            self.listeners.on_enqueue(self.pid)
         # Back among the living: resume heartbeating (per-process
         # detectors only; the shared oracle reads ground truth itself).
         resume = getattr(self.fd, "resume", None)

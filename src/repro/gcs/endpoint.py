@@ -13,7 +13,10 @@ the interface applications actually want:
 
 :class:`RateLimitedConsumer` models the paper's receiving application: a
 server draining the delivery queue at a fixed rate (messages per second),
-pausable to inject the performance perturbations of Section 5.
+pausable to inject the performance perturbations of Section 5.  It is
+event-driven: it serves on a fixed lattice of instants while the queue
+holds work and schedules nothing while it is empty, so an idle member
+costs no events however long it idles.
 """
 
 from __future__ import annotations
@@ -151,6 +154,36 @@ class RateLimitedConsumer:
     queue is non-empty.  ``pause()``/``resume()`` implement the transient
     performance perturbations of Figure 5(b) (the
     :class:`~repro.sim.failure.PerturbationSchedule` protocol).
+
+    **The service lattice.**  The first tick comes ``1/rate`` after
+    :meth:`start` (or :meth:`restart`), each later one ``1/rate`` after the
+    previous: accumulated float addition, ``t + 1/rate``, exactly what a
+    timer re-armed from every tick computes.
+
+    **Sleeping.**  A tick that leaves the queue empty, or finds the
+    consumer paused, does not re-arm.  The process wakes the
+    consumer through its ``on_enqueue`` listener (after every append to the
+    delivery queue, and at crash), and :meth:`resume` wakes it when a
+    backlog is waiting.  The woken tick lands on the first lattice instant
+    at or after the wake-up, found by continuing the accumulation from the
+    last tick: the instant a consumer that never slept would have served
+    next, because every tick skipped in between would have found nothing to
+    do.  A crash wakes it so that tick observes the crash, as a polling
+    one would.  A busy consumer runs the ticks a polling one runs, less
+    the one after each busy period that would have found nothing.
+
+    **The tie rule.**  Ticks run at kernel priority ``1 + pid``: after
+    every protocol event at the same instant, and in pid order among
+    consumers.  A sleeping consumer cannot tell whether the tick it skipped
+    at the current instant would have run before or after the enqueue that
+    wakes it — at one shared priority that depended on the scheduling
+    history of the skipped tick — so the order is pinned instead: an entry
+    that arrives at a service instant is served at that instant.  One case
+    is out of the rule's reach: an application callback, run by a
+    higher-pid consumer's tick, that makes this process enqueue at that
+    same instant (it needs a zero-delay link).  The woken consumer then
+    serves at that instant, where a polling one would already have passed
+    it.  Under a wall clock priorities are ignored and nothing ties.
     """
 
     def __init__(
@@ -168,6 +201,24 @@ class RateLimitedConsumer:
         self.consumed = 0
         self._started = False
         self._dead = False
+        self._priority = 1 + endpoint.pid
+        # Whether a tick is scheduled (not while asleep, dead or never
+        # started), and the lattice instant of the last tick, which a
+        # wake-up continues.
+        self._armed = False
+        self._last = 0.0
+
+        listeners = endpoint.process.listeners
+        previous = listeners.on_enqueue
+        if previous is None:
+            listeners.on_enqueue = self._on_enqueue
+        else:
+
+            def chained(pid: int) -> None:
+                previous(pid)
+                self._on_enqueue(pid)
+
+            listeners.on_enqueue = chained
 
     @property
     def service_time(self) -> float:
@@ -177,32 +228,71 @@ class RateLimitedConsumer:
         if self._started:
             return
         self._started = True
-        self.sim.schedule(self.service_time, self._tick)
+        self._arm(self.service_time)
 
     def pause(self) -> None:
         self.paused = True
 
     def resume(self) -> None:
         self.paused = False
+        if self.endpoint.pending:
+            self._wake()
 
     def restart(self) -> None:
         """Re-arm the service loop after the underlying process recovered.
 
-        The loop dies silently when it observes a crash; a rejoin (see
+        The loop dies silently when a tick observes a crash; a rejoin (see
         :meth:`repro.gcs.stack.GroupStack.rejoin`) revives the process but
-        not the consumer — the fault installer calls this afterwards.
-        No-op while the loop is still alive or never started.
+        not the consumer — the fault installer calls this afterwards, and
+        the lattice restarts ``1/rate`` later.  No-op while the loop is
+        still alive (including a crash shorter than the gap to the next
+        lattice instant, which no tick observed: the lattice continues) or
+        never started.
         """
         if not self._started or not self._dead or self.endpoint.process.crashed:
             return
         self._dead = False
-        self.sim.schedule(self.service_time, self._tick)
+        self._arm(self.service_time)
+
+    def _arm(self, delay: float) -> None:
+        self._armed = True
+        self.sim.schedule(delay, self._tick, priority=self._priority)
+
+    def _on_enqueue(self, pid: int) -> None:
+        # A paused consumer would only find itself paused (resume() wakes
+        # it for a waiting backlog); a crash must always be observed.
+        if not self._armed and (
+            not self.paused or self.endpoint.process.crashed
+        ):
+            self._wake()
+
+    def _wake(self) -> None:
+        if self._armed or self._dead or not self._started:
+            return
+        now = self.sim.now
+        step = self.service_time
+        at = self._last + step
+        while at < now:
+            at += step
+        # Relative, so a wall clock that moved on since ``now`` was read
+        # still gets a non-negative delay.  On the kernel it lands on
+        # ``at`` exactly: a consumer only sleeps after a tick, so
+        # now >= step and at <= 2 * now, and ``at - now`` is exact.
+        self._arm(at - now)
 
     def _tick(self) -> None:
-        if self.endpoint.process.crashed:
+        process = self.endpoint.process
+        if process.crashed:
+            self._armed = False
             self._dead = True
             return
-        if not self.paused and self.endpoint.pending:
+        if not self.paused and process.pending:
             self.endpoint.poll()
             self.consumed += 1
-        self.sim.schedule(self.service_time, self._tick)
+        # Sleep when the next tick could only find nothing to do.  A crash
+        # inside the poll's callbacks is left for that tick to observe.
+        if (self.paused or not process.pending) and not process.crashed:
+            self._armed = False
+            self._last = self.sim.now
+        else:
+            self._arm(self.service_time)

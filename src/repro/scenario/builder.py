@@ -543,7 +543,7 @@ class Scenario:
     def run(self, until: float, drain: bool = True) -> ScenarioResult:
         """Build, run until simulated time ``until``, and collect the result.
 
-        ``until`` is mandatory: consumers, heartbeats and samplers re-arm
+        ``until`` is mandatory: heartbeats and samplers re-arm
         themselves, so an unbounded run would never drain the event heap.
         """
         return self.build().run(until=until, drain=drain)
@@ -884,7 +884,7 @@ class LiveScenario:
         """Run the simulation until simulated time ``until`` and collect
         the declared metrics.
 
-        ``until`` is mandatory: consumers, heartbeats and samplers re-arm
+        ``until`` is mandatory: heartbeats and samplers re-arm
         themselves, so an unbounded run would never drain the event heap.
         ``drain=True`` (default) delivers everything still queued at the
         end — through each endpoint (so application callbacks fire) or the

@@ -9,7 +9,7 @@ link layer, and the legacy fault/perturbation schedules in
 :mod:`repro.faults`).
 """
 
-from repro.sim.kernel import Event, EventHandle, PeriodicTimer, SimulationError, Simulator
+from repro.sim.kernel import Event, EventHandle, SimulationError, Simulator
 from repro.sim.network import (
     ConstantLatency,
     LatencyModel,
@@ -32,7 +32,6 @@ __all__ = [
     "SimulationError",
     "Event",
     "EventHandle",
-    "PeriodicTimer",
     "Network",
     "LatencyModel",
     "ConstantLatency",

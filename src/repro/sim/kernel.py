@@ -1,8 +1,10 @@
 """Discrete-event simulation kernel: a slotted event queue.
 
-The kernel is the substrate every other subsystem runs on: the network,
-failure detectors, consensus, the SVS protocol and the throughput model all
-advance by scheduling callbacks on a single :class:`Simulator`.
+The kernel is the substrate every simulated subsystem runs on: the
+network, failure detectors, consensus, the SVS protocol and the
+application consumers all advance by scheduling callbacks on a single
+:class:`Simulator`.  (The Section 5.3 throughput model is the exception:
+it is a recurrence that reproduces the kernel's arithmetic without it.)
 
 Determinism is a design requirement — the paper's evaluation compares two
 protocols (reliable vs. semantic) on the *same* workload, so a run must be
@@ -42,7 +44,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -458,46 +459,3 @@ class Simulator:
             f"processed={self._events_processed})"
         )
 
-
-@dataclass
-class PeriodicTimer:
-    """Repeatedly invoke a callback at a fixed period.
-
-    The timer re-arms itself after each tick; :meth:`stop` halts it.  Used
-    by heartbeat failure detectors and rate-limited consumers.
-    """
-
-    sim: Simulator
-    period: float
-    callback: Callable[[], None]
-    priority: int = 0
-    _handle: Optional[EventHandle] = field(default=None, repr=False)
-    _active: bool = field(default=False, repr=False)
-
-    def start(self, initial_delay: Optional[float] = None) -> None:
-        if self.period <= 0:
-            raise SimulationError(f"period must be positive: {self.period!r}")
-        if self._active:
-            return
-        self._active = True
-        delay = self.period if initial_delay is None else initial_delay
-        self._handle = self.sim.schedule(delay, self._tick, priority=self.priority)
-
-    def stop(self) -> None:
-        self._active = False
-        if self._handle is not None:
-            self._handle.cancel()
-            self._handle = None
-
-    @property
-    def active(self) -> bool:
-        return self._active
-
-    def _tick(self) -> None:
-        if not self._active:
-            return
-        self.callback()
-        if self._active:
-            self._handle = self.sim.schedule(
-                self.period, self._tick, priority=self.priority
-            )

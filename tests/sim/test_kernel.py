@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.kernel import PeriodicTimer, SimulationError, Simulator
+from repro.sim.kernel import SimulationError, Simulator
 
 
 class TestScheduling:
@@ -200,58 +200,3 @@ class TestRandomness:
         b = Simulator(seed=2).rng().random()
         assert a != b
 
-
-class TestPeriodicTimer:
-    def test_fires_at_period(self):
-        sim = Simulator()
-        ticks = []
-        timer = PeriodicTimer(sim, period=1.0, callback=lambda: ticks.append(sim.now))
-        timer.start()
-        sim.run(until=3.5)
-        assert ticks == [1.0, 2.0, 3.0]
-
-    def test_initial_delay(self):
-        sim = Simulator()
-        ticks = []
-        timer = PeriodicTimer(sim, period=1.0, callback=lambda: ticks.append(sim.now))
-        timer.start(initial_delay=0.25)
-        sim.run(until=2.5)
-        assert ticks == [0.25, 1.25, 2.25]
-
-    def test_stop_halts_ticks(self):
-        sim = Simulator()
-        ticks = []
-        timer = PeriodicTimer(sim, period=1.0, callback=lambda: ticks.append(sim.now))
-        timer.start()
-        sim.schedule(2.5, timer.stop)
-        sim.run(until=10.0)
-        assert ticks == [1.0, 2.0]
-
-    def test_stop_from_inside_callback(self):
-        sim = Simulator()
-        ticks = []
-
-        def tick():
-            ticks.append(sim.now)
-            if len(ticks) == 2:
-                timer.stop()
-
-        timer = PeriodicTimer(sim, period=1.0, callback=tick)
-        timer.start()
-        sim.run(until=10.0)
-        assert ticks == [1.0, 2.0]
-
-    def test_non_positive_period_rejected(self):
-        sim = Simulator()
-        timer = PeriodicTimer(sim, period=0.0, callback=lambda: None)
-        with pytest.raises(SimulationError):
-            timer.start()
-
-    def test_start_is_idempotent(self):
-        sim = Simulator()
-        ticks = []
-        timer = PeriodicTimer(sim, period=1.0, callback=lambda: ticks.append(1))
-        timer.start()
-        timer.start()
-        sim.run(until=1.5)
-        assert ticks == [1]

@@ -52,6 +52,26 @@ class TestLiveLoopbackSpec:
         assert result.ok, result.violations
         assert set(result.metrics["queue_depth"]["mean"]) == {"0", "1", "2"}
 
+    @pytest.mark.timeout(60)
+    def test_sleeping_consumers_wake_on_the_wall_clock(self):
+        # Consumers sleep between arrivals and wake on enqueue; on a wall
+        # clock the wake-up must schedule relative to a ``now`` that keeps
+        # moving.  Every multicast reaches every application, served by
+        # the consumers themselves (no end-of-run drain).
+        s = Scenario().group(n=3, relation="empty")
+        s.transport("loopback", latency=0.002)
+        for i in range(30):
+            s.inject(0.05 + i * 0.025, payload=f"m{i}", sender=i % 3)
+        s.consumers(rate=5000).collect("throughput")
+        result = s.run(until=1.0, drain=False)
+        assert result.ok, result.violations
+        throughput = result.metrics["throughput"]
+        assert throughput["offered"] == 30
+        for pid in ("0", "1", "2"):
+            # The 30 data messages plus the initial view.
+            assert throughput["delivered"][pid] == 31
+            assert throughput["consumed"][pid] == 31
+
     @pytest.mark.timeout(90)
     def test_lossy_loopback_satisfies_lossy_checks(self):
         s = live_scenario(latency=0.001, jitter=0.002, loss=0.08, duplicate=0.03)
