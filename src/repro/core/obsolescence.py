@@ -24,10 +24,15 @@ here:
 A caveat the paper glosses over, preserved faithfully here: truncating the
 enumeration window (or choosing k too small) yields a relation that is *not*
 transitive for pairs further apart than the window.  Purging with a
-non-transitive relation can, in principle, break the coverage chain that the
-SVS correctness argument relies on.  The paper's guidance — pick k at twice
-the buffer size — makes this practically unobservable; the ablation
-benchmark ``benchmarks/test_bench_ablation_k.py`` quantifies it.
+non-transitive relation can break the coverage chain that the SVS
+correctness argument relies on.  The paper's guidance — pick k at twice the
+buffer size — avoids it only while the window really spans the backlog.  It
+is observable: the loaded view change of :mod:`repro.analysis.viewchange`
+runs k=64 against a slow member's backlog of hundreds of messages, and the
+executable specification catches the broken chain there
+(``tests/analysis/test_viewchange.py`` pins the violations).  The ablation
+benchmark ``benchmarks/test_bench_ablation_k.py`` quantifies the throughput
+side.
 """
 
 from __future__ import annotations
@@ -58,7 +63,8 @@ class PurgeIndex:
     :class:`~repro.core.buffers.DeliveryQueue` keeps one of these in sync
     with its contents (``add``/``discard`` on every append, pop and purge)
     and consults it to answer the two questions the Figure 1 protocol asks
-    on the hot path:
+    on the hot path (the executable specification, :mod:`repro.core.spec`,
+    asks the second of never-purged queues to check ⊑-coverage):
 
     * ``obsoleted_by(new)`` — which indexed messages does ``new`` make
       obsolete?  (the t2/t3 purge; previously an O(n) scan with one

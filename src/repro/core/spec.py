@@ -25,6 +25,12 @@ Checked properties:
 
 All checkers return a list of human-readable violations; an empty list
 means the property holds on the recorded run.
+
+Cost: ⊑-coverage is asked of never-purged
+:class:`~repro.core.buffers.DeliveryQueue` pools, one
+``PurgeIndex.coverer_of`` probe each (a scan without an index), so a check
+is linear in deliveries plus multicasts per install — and exact by the
+index contract: a pairwise scan's answer, with no view filter.
 """
 
 from __future__ import annotations
@@ -32,24 +38,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
+from repro.core.buffers import DeliveryQueue
 from repro.core.message import DataMessage, MessageId, View, ViewDelivery
 from repro.core.obsolescence import EmptyRelation, ObsolescenceRelation
 from repro.core.svs import SVSListeners
 
 __all__ = [
-    "HistoryRecorder",
-    "ProcessHistory",
-    "CHECKS",
-    "DEFAULT_CHECKS",
-    "LOSSY_CHECKS",
-    "check_svs",
-    "check_fifo_sr",
-    "check_fifo_order",
-    "check_fifo_cover",
-    "check_integrity",
-    "check_view_agreement",
-    "check_classic_vs",
-    "check_all",
+    "HistoryRecorder", "ProcessHistory", "CHECKS", "DEFAULT_CHECKS",
+    "LOSSY_CHECKS", "check_svs", "check_fifo_sr", "check_fifo_order",
+    "check_fifo_cover", "check_integrity", "check_view_agreement",
+    "check_classic_vs", "check_all",
 ]
 
 QueueEntry = Union[DataMessage, ViewDelivery]
@@ -105,10 +103,6 @@ class HistoryRecorder:
         #: Completed incarnations of rejoined pids, in rejoin order.
         self.retired: List[ProcessHistory] = []
 
-    # ------------------------------------------------------------------
-    # Recording hooks
-    # ------------------------------------------------------------------
-
     def record_multicast(self, pid: int, msg: DataMessage) -> None:
         self.multicasts[msg.mid] = msg
         self.multicast_order.setdefault(msg.sender, []).append(msg)
@@ -146,10 +140,28 @@ class HistoryRecorder:
 # ----------------------------------------------------------------------
 
 
-def _covered_in(
-    m: DataMessage, pool: Sequence[DataMessage], relation: ObsolescenceRelation
-) -> bool:
-    return any(other.mid == m.mid or relation.obsoletes(other, m) for other in pool)
+class _Pool:
+    """Append-only ⊑-coverage pool: never-purged delivery queues, one per
+    copy of a mid (an index holds one message per mid; every copy covers)."""
+
+    def __init__(self, relation: ObsolescenceRelation) -> None:
+        self.relation = relation
+        self.queues: List[DeliveryQueue] = []
+
+    def add(self, m: DataMessage) -> None:
+        for queue in self.queues:
+            if not queue.contains_mid(m.mid):
+                break
+        else:
+            queue = DeliveryQueue(self.relation)
+            self.queues.append(queue)
+        queue.append(m)
+
+    def covered(self, m: DataMessage) -> bool:
+        for queue in self.queues:
+            if queue.covered(m):
+                return True
+        return False
 
 
 def check_svs(
@@ -164,9 +176,9 @@ def check_svs(
     violations: List[str] = []
     histories = recorder.all_histories()
     segment_cache = [h.segments() for h in histories]
-    installed_cache = [
-        [v.vid for v in h.installed_views()] for h in histories
-    ]
+    installed_cache = [[v.vid for v in h.installed_views()] for h in histories]
+    # q's deliveries before installing vid+1, pooled once per (q, vid).
+    pools: Dict[Tuple[int, int], _Pool] = {}
     for pi, p in enumerate(histories):
         p_installed = installed_cache[pi]
         for vid in p_installed:
@@ -174,21 +186,18 @@ def check_svs(
                 continue  # p did not install the consecutive pair
             p_segment = segment_cache[pi].get(vid, [])
             for qi, q in enumerate(histories):
-                if qi == pi:
-                    continue
                 q_installed = installed_cache[qi]
-                if vid not in q_installed or vid + 1 not in q_installed:
+                if qi == pi or vid not in q_installed or vid + 1 not in q_installed:
                     continue
-                # q's deliveries before installing vid+1 == segments <= vid.
-                q_pool: List[DataMessage] = []
-                for w in q_installed:
-                    if w <= vid:
-                        q_pool.extend(segment_cache[qi].get(w, []))
-                q_mids = {m.mid for m in q_pool}
+                pool = pools.get((qi, vid))
+                if pool is None:
+                    pool = pools[qi, vid] = _Pool(relation)
+                    for w in q_installed:
+                        if w <= vid:
+                            for m in segment_cache[qi].get(w, ()):
+                                pool.add(m)
                 for m in p_segment:
-                    if m.mid in q_mids:
-                        continue
-                    if not _covered_in(m, q_pool, relation):
+                    if not pool.covered(m):
                         violations.append(
                             f"SVS: {p.pid} delivered {m} in view {vid} but "
                             f"{q.pid} installed view {vid + 1} without "
@@ -243,34 +252,26 @@ def check_fifo_cover(
     """
     violations: List[str] = []
     for history in recorder.all_histories():
-        first_vid: Optional[int] = next(
-            (
-                e.view.vid
-                for e in history.events
-                if isinstance(e, ViewDelivery)
-            ),
-            None,
-        )
-        delivered_so_far: List[DataMessage] = []
+        delivered_so_far = _Pool(relation)
         max_sn_from: Dict[int, int] = {}
         installs_seen = 0
         for event in history.events:
             if isinstance(event, DataMessage):
-                delivered_so_far.append(event)
-                cur = max_sn_from.get(event.sender, -1)
-                if event.sn > cur:
+                delivered_so_far.add(event)
+                if event.sn > max_sn_from.get(event.sender, -1):
                     max_sn_from[event.sender] = event.sn
                 continue
             installs_seen += 1
             if installs_seen == 1:
+                first_vid = event.view.vid  # this incarnation's floor
                 continue  # the initial view has no preceding segment
             for sender, sn_max in max_sn_from.items():
                 for m in recorder.multicast_order.get(sender, []):
                     if m.sn >= sn_max:
                         break
-                    if first_vid is not None and m.view_id < first_vid:
+                    if m.view_id < first_vid:
                         continue  # predates this incarnation's membership
-                    if not _covered_in(m, delivered_so_far, relation):
+                    if not delivered_so_far.covered(m):
                         violations.append(
                             f"FIFO(ii): {history.pid} installed view "
                             f"#{installs_seen - 1} having delivered up to "
@@ -353,8 +354,7 @@ def check_view_agreement(recorder: HistoryRecorder) -> List[str]:
 def check_classic_vs(recorder: HistoryRecorder) -> List[str]:
     """Classic View Synchrony: identical delivery *sets* per co-installed
     view segment — must hold whenever the relation is empty."""
-    empty = EmptyRelation()
-    return check_svs(recorder, empty)
+    return check_svs(recorder, EmptyRelation())
 
 
 #: Checkers addressable by name, all normalised to the same

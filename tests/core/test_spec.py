@@ -5,11 +5,19 @@ hand-built violations — the checkers guard the whole suite, so they get
 adversarial tests of their own.
 """
 
-from repro.core.message import View, ViewDelivery
-from repro.core.obsolescence import EmptyRelation, ItemTagging
+import pytest
+
+from repro.core.message import MessageId, View, ViewDelivery
+from repro.core.obsolescence import (
+    EmptyRelation,
+    ItemTagging,
+    KEnumeration,
+    MessageEnumeration,
+)
 from repro.core.spec import (
     HistoryRecorder,
     check_classic_vs,
+    check_fifo_cover,
     check_fifo_sr,
     check_integrity,
     check_svs,
@@ -142,6 +150,63 @@ class TestFIFOChecker:
         rec = recorder_with(m, {0: [ViewDelivery(V0), m[1]]})
         violations = check_fifo_sr(rec, ItemTagging())
         assert not any("FIFO(ii)" in v for v in violations)
+
+
+class TestTamperedCopies:
+    """Two copies of one mid with different annotations: coverage must see
+    both, as a scan of the delivered log does.  (A purge index keeps one
+    message per mid, so a pool that indexed both copies in one queue would
+    answer with whichever copy came last.)"""
+
+    # sn 5's genuine annotation covers sn 4; the forged copy covers sn 3.
+    RELATIONS = {
+        "k-enumeration": (KEnumeration(4), 0b0001, 0b0010),
+        "message-enumeration": (
+            MessageEnumeration(),
+            frozenset({MessageId(0, 4)}),
+            frozenset({MessageId(0, 3)}),
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(RELATIONS))
+    @pytest.mark.parametrize("forged_first", [False, True])
+    def test_every_copy_covers(self, name, forged_first):
+        relation, genuine_bits, forged_bits = self.RELATIONS[name]
+        m3, m4 = tagged(3, None), tagged(4, None)
+        genuine = tagged(5, genuine_bits)
+        forged = make_data(sn=5, annotation=forged_bits, payload="forged")
+        copies = [forged, genuine] if forged_first else [genuine, forged]
+        rec = recorder_with(
+            [m3, m4, genuine],
+            {
+                0: [ViewDelivery(V0), m3, m4, genuine, ViewDelivery(V1)],
+                1: [ViewDelivery(V0), *copies, ViewDelivery(V1)],
+            },
+        )
+        # The scan's answers: m4 ⊑ genuine and m3 ⊑ forged.
+        assert check_svs(rec, relation) == []
+        assert check_fifo_cover(rec, relation) == []
+        assert len(check_integrity(rec)) == 2  # a forgery and a duplicate
+
+    @pytest.mark.parametrize("name", sorted(RELATIONS))
+    def test_one_copy_leaves_a_gap(self, name):
+        relation, genuine_bits, _forged_bits = self.RELATIONS[name]
+        m3, m4, genuine = tagged(3, None), tagged(4, None), tagged(5, genuine_bits)
+        rec = recorder_with(
+            [m3, m4, genuine],
+            {
+                0: [ViewDelivery(V0), m3, m4, genuine, ViewDelivery(V1)],
+                1: [ViewDelivery(V0), genuine, ViewDelivery(V1)],
+            },
+        )
+        assert check_svs(rec, relation) == [
+            "SVS: 0 delivered Data(0.3@v0) in view 0 but 1 installed view 1 "
+            "without covering it"
+        ]
+        assert check_fifo_cover(rec, relation) == [
+            "FIFO(ii): 1 installed view #1 having delivered up to sn 5 of "
+            "sender 0 without covering Data(0.3@v0)"
+        ]
 
 
 class TestIntegrityChecker:
