@@ -729,7 +729,11 @@ class SVSProcess(SimProcess):
         # The failure detector is NOT resumed here: while joining, the
         # process must keep looking unresponsive (heartbeat silence, oracle
         # suspicion) so the join view change's t7 does not wait for a PRED
-        # it will never send.  _handle_welcome resumes it.
+        # it will never send.  _handle_welcome resumes it; until then the
+        # joiner drops every beat, which the detector must know.
+        pause = getattr(self.fd, "pause", None)
+        if pause is not None:
+            pause()
 
     def send_welcome(self, pid: ProcessId) -> None:
         """Re-send the current view to a joiner that is already a member.

@@ -16,6 +16,13 @@ implementations are provided:
 
 Both expose the same query/subscription interface (:class:`FailureDetector`),
 so the consensus and SVS layers are agnostic to which one they run over.
+
+On the simulated network a beat from an unsuspected peer is not an event:
+it lands on the receiver's :class:`~repro.sim.network.DeferredLane` for that
+peer, settled when a check finds the peer overdue.  A suspected peer's lane
+is closed, so its beats recant as events, and a joiner, which drops beats,
+closes every lane (see "Deferred arrivals" in ``docs/kernel.md``).  One
+timer emits, then checks.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set
 from repro.core.message import Envelope
 from repro.registry import FDWiring, failure_detectors as _fd_registry
 from repro.sim.kernel import Simulator
+from repro.sim.network import DeferredLane, Network
 from repro.sim.process import ProcessId, SimProcess
 
 __all__ = [
@@ -124,8 +132,11 @@ class HeartbeatFailureDetector(_ListenerMixin, FailureDetector):
         self.backoff = backoff
         self._peers: Set[ProcessId] = set()
         self._timeouts: Dict[ProcessId, float] = {}
-        self._deadline_timer_armed = False
         self._last_heard: Dict[ProcessId, float] = {}
+        # One lane per peer on a simulated network; None on a live one.
+        self._lanes: Optional[Dict[ProcessId, DeferredLane]] = (
+            {} if isinstance(owner.network, Network) else None
+        )
         self._epoch = 0
         self._started = False
 
@@ -140,6 +151,9 @@ class HeartbeatFailureDetector(_ListenerMixin, FailureDetector):
         for p in new_peers - self._peers:
             self._last_heard[p] = now
             self._timeouts.setdefault(p, self.initial_timeout)
+            if self._lanes is not None:
+                lane = self._lanes[p] = self.owner.network.lane(p, self.owner.pid)
+                lane.open = True
         for p in self._peers - new_peers:
             self._last_heard.pop(p, None)
             self._suspected.discard(p)
@@ -149,34 +163,44 @@ class HeartbeatFailureDetector(_ListenerMixin, FailureDetector):
         if self._started:
             return
         self._started = True
-        self._emit()
-        self._check()
+        self._tick()
 
     # ------------------------------------------------------------------
-    # Heartbeat emission and checking (driven by owner timers)
+    # Heartbeat emission and checking (one owner timer drives both)
     # ------------------------------------------------------------------
 
-    def _emit(self) -> None:
-        if self.owner.crashed:
+    def _tick(self) -> None:
+        owner = self.owner
+        if owner.crashed:
             return
         beat = Envelope(stream=FD_STREAM, body=Heartbeat(self._epoch))
         self._epoch += 1
-        for peer in self._peers:
-            self.owner.send(peer, beat)
-        self.owner.set_timer("fd-emit", self.period, self._emit)
+        if self._lanes is None:
+            for peer in self._peers:
+                owner.send(peer, beat)
+        else:
+            send, pid = owner.network.send, owner.pid
+            for peer in self._peers:
+                send(pid, peer, beat, True)
+        owner.set_timer("fd", self.period, self._tick)
+        self._check()
 
     def _check(self) -> None:
-        if self.owner.crashed:
-            return
         now = self.owner.sim.now
+        last_heard, timeouts, lanes = self._last_heard, self._timeouts, self._lanes
         for peer in self._peers:
-            deadline = self._last_heard.get(peer, now) + self._timeouts.get(
-                peer, self.initial_timeout
-            )
-            if now >= deadline:
-                self._set_suspected(peer, True)
-        # Re-check at heartbeat granularity; cheap and deterministic.
-        self.owner.set_timer("fd-check", self.period, self._check)
+            if now < last_heard[peer] + timeouts[peer] or peer in self._suspected:
+                continue
+            if lanes is not None:
+                # Settling only raises last_heard, so only a deadline that
+                # looks expired needs the beats ordered before this check.
+                heard = lanes[peer].settle()
+                if heard > last_heard[peer]:
+                    last_heard[peer] = heard
+                    if now < heard + timeouts[peer]:
+                        continue
+                lanes[peer].close()
+            self._set_suspected(peer, True)
 
     # ------------------------------------------------------------------
     # Incoming heartbeats
@@ -191,16 +215,27 @@ class HeartbeatFailureDetector(_ListenerMixin, FailureDetector):
             self._timeouts[sender] = (
                 self._timeouts.get(sender, self.initial_timeout) + self.backoff
             )
+            if self._lanes is not None:
+                self._lanes[sender].open = True
             self._set_suspected(sender, False)
 
     # ------------------------------------------------------------------
     # Recovery (the rejoin extension, see repro.faults)
     # ------------------------------------------------------------------
 
+    def pause(self) -> None:
+        """The owner drops every beat until :meth:`resume` (it is joining).
+
+        An excluded joiner's timer still runs, so its checks must not see
+        the beats it drops: closing the lanes makes them events again.
+        """
+        for lane in (self._lanes or {}).values():
+            lane.close()
+
     def resume(self) -> None:
         """Re-arm emission and checking after the owner recovered.
 
-        A crash cancels the owner's timers, killing both loops.  The grace
+        A crash cancels the owner's timer, killing the loop.  The grace
         reset of ``last_heard`` keeps the recovered process from instantly
         suspecting every peer it has not heard from while it was down.
         """
@@ -209,8 +244,9 @@ class HeartbeatFailureDetector(_ListenerMixin, FailureDetector):
         now = self.owner.sim.now
         for peer in self._peers:
             self._last_heard[peer] = now
-        self._emit()
-        self._check()
+            if self._lanes is not None and peer not in self._suspected:
+                self._lanes[peer].open = True
+        self._tick()
 
 
 class OracleFailureDetector(_ListenerMixin, FailureDetector):

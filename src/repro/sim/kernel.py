@@ -35,6 +35,11 @@ against the whole pending set.  The queue is *slotted* instead (see
 * an event is one lightweight ``__slots__`` handle; cancellation is lazy
   (a flag checked at pop time) and therefore O(1).
 
+Work may hold a reserved sequence number instead of an event
+(:meth:`Simulator.reserve_seq`): :meth:`Simulator.passed` says whether it
+would have run, and ``schedule_at(..., seq=)`` makes it an event at its own
+key.
+
 The ordering contract and the ``SimulationError`` cases are pinned by
 ``tests/sim/test_kernel.py``, the event orders of whole runs by the golden
 fixtures in ``tests/fixtures/``.
@@ -175,7 +180,7 @@ class Simulator:
         "now", "_tick", "_inv_tick", "_span", "_active", "_active_idx",
         "_buckets", "_bucket_heap", "_overflow", "_horizon",
         "_seq", "_seed", "_rngs", "_events_processed", "_running",
-        "_stopped",
+        "_stopped", "_position",
     )
 
     def __init__(
@@ -209,6 +214,9 @@ class Simulator:
         self._events_processed = 0
         self._running = False
         self._stopped = False
+        # Every event that has run is ordered at or before this key (see
+        # passed()): the executing or last entry, or [until, inf].
+        self._position: List[Any] = [-1.0]
 
     # ------------------------------------------------------------------
     # Clock
@@ -295,14 +303,17 @@ class Simulator:
         callback: Callable[..., None],
         *args: Any,
         priority: int = 0,
+        seq: Optional[int] = None,
     ) -> EventHandle:
-        """Schedule ``callback(*args)`` at an absolute simulated time."""
+        """Schedule ``callback(*args)`` at an absolute simulated time;
+        ``seq`` places it at a number taken from :meth:`reserve_seq`."""
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule at {time!r}, current time is {self.now!r}"
             )
-        seq = self._seq
-        self._seq = seq + 1
+        if seq is None:
+            seq = self._seq
+            self._seq = seq + 1
         entry = EventHandle((time, priority, seq, callback, args, False))
         idx = int(time * self._inv_tick)
         if idx <= self._active_idx:
@@ -323,6 +334,19 @@ class Simulator:
     def cancel(self, handle: EventHandle) -> None:
         """Cancel a previously scheduled event (idempotent)."""
         handle[5] = True
+
+    def reserve_seq(self) -> int:
+        """The sequence number an event scheduled now would get; schedule
+        at it at most once."""
+        seq = self._seq
+        self._seq = seq + 1
+        return seq
+
+    def passed(self, time: float, seq: int) -> bool:
+        """Whether an event at ``(time, priority 0, seq)``, reserved before
+        ``time``, would have run: ordered before the executing event, or
+        at or before a reached ``until`` after a run."""
+        return [time, 0, seq] < self._position
 
     # ------------------------------------------------------------------
     # Slot management
@@ -391,6 +415,7 @@ class Simulator:
             return False
         heappop(self._active)
         self.now = entry[0]
+        self._position = entry
         self._events_processed += 1
         entry[3](*entry[4])
         return True
@@ -412,6 +437,7 @@ class Simulator:
         self._stopped = False
         executed = 0
         processed = 0
+        capped = False
         active = self._active
         unbounded = until is None and max_events is None
         try:
@@ -433,14 +459,18 @@ class Simulator:
                     if until is not None and entry[0] > until:
                         break
                     if max_events is not None and executed >= max_events:
+                        capped = True
                         break
                     executed += 1
                 heappop(active)
                 self.now = entry[0]
+                self._position = entry
                 processed += 1
                 entry[3](*entry[4])
-            if until is not None and self.now < until and not self._stopped:
-                self.now = until
+            if until is not None and not (self._stopped or capped):
+                self._position = max(self._position, [until, float("inf")])
+                if self.now < until:
+                    self.now = until
         finally:
             self._events_processed += processed
             self._running = False

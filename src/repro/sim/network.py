@@ -26,6 +26,10 @@ knob ever touched — :meth:`Network.multicast` schedules one kernel event
 per fan-out instead of one per destination (see "Batched fan-out" in
 ``docs/kernel.md``); the first fault call latches it back to the
 per-destination loop for good.
+
+A receiver may open a :class:`DeferredLane` on a channel to have reliable
+arrivals sent with ``defer=True`` recorded instead of scheduled (see
+"Deferred arrivals" in ``docs/kernel.md``).
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ __all__ = [
     "LinkFaultPolicy",
     "Network",
     "ChannelStats",
+    "DeferredLane",
 ]
 
 
@@ -235,6 +240,55 @@ class ChannelStats:
     reordered: int = 0
 
 
+class DeferredLane:
+    """Reliable arrivals on one channel, recorded instead of scheduled.
+
+    Owned by the receiver (see :meth:`Network.lane`).  While ``open``, a
+    ``defer=True`` arrival on the reliable path is kept, in arrival order,
+    as ``(deliver_at, reserved seq, payload)`` and calls no handler;
+    :meth:`settle` counts those the kernel has passed as delivered.
+    """
+
+    __slots__ = ("network", "channel", "open", "pending", "latest")
+
+    def __init__(
+        self, network: "Network", channel: Tuple[ProcessId, ProcessId]
+    ) -> None:
+        self.network, self.channel, self.open = network, channel, True
+        self.pending: List[Tuple[float, int, Any]] = []
+        self.latest = -math.inf
+
+    def settle(self) -> float:
+        """Settle the passed arrivals; return the latest arrival time
+        settled so far (``-inf`` if none)."""
+        pending, sim = self.pending, self.network.sim
+        n = 0
+        for deliver_at, seq, _ in pending:
+            # Everything before ``now`` has run; a tie asks the kernel.
+            if deliver_at > sim.now or (
+                deliver_at == sim.now and not sim.passed(deliver_at, seq)
+            ):
+                break
+            n += 1
+        if n:
+            self.latest = pending[n - 1][0]
+            del pending[:n]
+            self.network._stats[self.channel].delivered += n
+            self.network._delivered += n
+        return self.latest
+
+    def close(self) -> None:
+        """Make the arrivals in flight delivery events at their own
+        ``(time, seq)``; defer nothing until ``open`` is set again."""
+        self.settle()
+        net = self.network
+        for deliver_at, seq, payload in self.pending:
+            net.sim.schedule_at(
+                deliver_at, net._deliver, *self.channel, payload, seq=seq
+            )
+        self.pending, self.open = [], False
+
+
 class _FanoutGroup:
     """Memoized state of one ``(src, destination list)`` multicast group.
 
@@ -340,6 +394,7 @@ class Network:
         self._batched = self._constant is not None
         self._groups: Dict[Any, _FanoutGroup] = {}
         self._attach_epoch = 0
+        self._lanes: Dict[Tuple[ProcessId, ProcessId], DeferredLane] = {}
         # Fault injection state (all empty/None by default = reliable net).
         self._cut: Set[Tuple[ProcessId, ProcessId]] = set()
         self._drop_filter: Optional[Callable[[ProcessId, ProcessId, Any], bool]] = None
@@ -355,7 +410,7 @@ class Network:
         ] = {}
         self._fault_rngs: Dict[Tuple[ProcessId, ProcessId], Any] = {}
         self.messages_sent = 0
-        self.messages_delivered = 0
+        self._delivered = 0
         self.messages_dropped = 0
         self.messages_duplicated = 0
         self.messages_reordered = 0
@@ -385,11 +440,14 @@ class Network:
     # Sending
     # ------------------------------------------------------------------
 
-    def send(self, src: ProcessId, dst: ProcessId, payload: Any) -> None:
+    def send(
+        self, src: ProcessId, dst: ProcessId, payload: Any, defer: bool = False
+    ) -> None:
         """Send ``payload`` from ``src`` to ``dst``.
 
         Unknown destinations are ignored (a message to a process that never
-        existed just disappears, as on a real network).
+        existed just disappears, as on a real network).  With ``defer``, a
+        reliable arrival goes to the channel's open :class:`DeferredLane`.
         """
         channel = (src, dst)
         stats = self._stats.get(channel)
@@ -440,10 +498,16 @@ class Network:
             # Fast path: reliable FIFO channel, exactly as before faults
             # existed.  Never deliver before the previously scheduled
             # delivery on this channel, regardless of the sampled latency.
-            deliver_at = max(
-                self.sim.now + delay, self._last_delivery.get(channel, 0.0)
-            )
+            now = self.sim.now
+            deliver_at = max(now + delay, self._last_delivery.get(channel, 0.0))
             self._last_delivery[channel] = deliver_at
+            if defer and deliver_at > now:
+                lane = self._lanes.get(channel)
+                if lane is not None and lane.open:
+                    lane.settle()  # so it holds only arrivals in flight
+                    seq = self.sim.reserve_seq()
+                    lane.pending.append((deliver_at, seq, payload))
+                    return
             self.sim.schedule_at(deliver_at, self._deliver, src, dst, payload)
             return
 
@@ -515,7 +579,7 @@ class Network:
             group.resolve(self._procs, self._attach_epoch)
         group.delivered_runs += 1
         handlers = group.handlers
-        self.messages_delivered += len(handlers)
+        self._delivered += len(handlers)
         src = group.src
         for handler in handlers:
             handler(src, payload)
@@ -571,8 +635,26 @@ class Network:
         if proc is None:
             return
         self._stats[(src, dst)].delivered += 1
-        self.messages_delivered += 1
+        self._delivered += 1
         proc._deliver(src, payload)
+
+    # ------------------------------------------------------------------
+    # Deferred arrivals
+    # ------------------------------------------------------------------
+
+    def lane(self, src: ProcessId, dst: ProcessId) -> DeferredLane:
+        """The :class:`DeferredLane` of ``(src, dst)`` (created open), for ``dst``."""
+        lane = self._lanes.get((src, dst))
+        if lane is None:
+            lane = self._lanes[(src, dst)] = DeferredLane(self, (src, dst))
+        return lane
+
+    @property
+    def messages_delivered(self) -> int:
+        """Deliveries so far, passed deferred arrivals included."""
+        for lane in self._lanes.values():
+            lane.settle()
+        return self._delivered
 
     # ------------------------------------------------------------------
     # Fault injection (used by tests; default off)
@@ -694,6 +776,8 @@ class Network:
 
     def channel_stats(self, src: ProcessId, dst: ProcessId) -> ChannelStats:
         self._flush_groups()
+        for lane in self._lanes.values():
+            lane.settle()
         return self._stats.setdefault((src, dst), ChannelStats())
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

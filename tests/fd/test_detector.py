@@ -152,3 +152,91 @@ class TestOracleDetector:
         procs[0].crash()
         sim.run(until=1.0)
         assert changes == [0]
+
+
+class TestDeferredBeatsOnTiedInstants:
+    """Latency, period and timeout all equal: every beat lands exactly on a
+    check instant, before or after the check in kernel order, and a check
+    that misjudged one would suspect a live peer a period early or late.
+    Process 0 ticks first, so once it crashes its last beats tie with its
+    peers' checks with no later send to settle them.  Deferred beats must
+    give the suspicion log of eager ones to the bit."""
+
+    def run(self, eager):
+        sim = Simulator(seed=1)
+        net = Network(sim, ConstantLatency(0.05))
+        hosts = [
+            FDHost(i, sim, net, period=0.05, timeout=0.05, backoff=0.05)
+            for i in range(3)
+        ]
+        log = []
+        for host in hosts:
+            if eager:
+                host.fd._lanes = None  # every beat an event, as before deferral
+            host.fd.subscribe(
+                lambda peer, flag, pid=host.pid: log.append(
+                    (pid, peer, flag, sim.now.hex())
+                )
+            )
+            host.fd.monitor(range(3))
+            host.fd.start()
+        sim.schedule(1.0, net.set_delay_filter,
+                     lambda src, dst, payload: 0.2 if src == 1 else 0.0)
+        sim.schedule(1.5, net.set_delay_filter, None)
+        sim.schedule(3.0, hosts[0].crash)  # its last beats tie with checks
+        sim.run(until=4.0)
+        return log, net.messages_delivered
+
+    def test_same_suspicions_as_eager_beats(self):
+        log, delivered = self.run(eager=False)
+        assert (log, delivered) == self.run(eager=True)
+        # At the first check, beats ordered after the checker's timer raise
+        # suspicions their own (materialized) arrival recants at once.
+        first = {change[:3] for change in log if change[3] == (0.05).hex()}
+        assert first == {(0, 1, True), (0, 1, False), (0, 2, True),
+                         (0, 2, False), (1, 2, True), (1, 2, False)}
+        assert len(log) > len(first)
+
+
+class TestLiveHeartbeats:
+    """On a live network there are no deferred lanes: every beat of every
+    emission goes out as a real frame and comes back through the full
+    delivery path."""
+
+    @pytest.mark.timeout(60)
+    def test_every_beat_is_a_real_message(self):
+        from repro.scenario import Scenario
+        from repro.transport.network import TransportNetwork
+
+        n = 3
+        live = (
+            Scenario()
+            .group(n=n, fd="heartbeat", consensus="chandra-toueg")
+            .transport("loopback")
+            .build()
+        )
+        network = live.stack.network
+        assert isinstance(network, TransportNetwork)
+        assert not hasattr(network, "lane")
+        sent, received = {}, {}
+
+        def count(into):
+            def observer(src, dst, payload):
+                if isinstance(payload, Envelope) and payload.stream == FD_STREAM:
+                    into[src] = into.get(src, 0) + 1
+            return observer
+
+        network.add_send_observer(count(sent))
+        network.add_receive_observer(count(received))
+        # Building started the detectors: their first emission is out.
+        before = {pid: proc.fd._epoch for pid, proc in live.stack.processes.items()}
+        live.run(until=0.5)
+        for pid, proc in live.stack.processes.items():
+            detector = proc.fd
+            assert detector._lanes is None
+            assert detector._epoch - before[pid] > 10
+            # One frame per peer per emission, none held back.
+            assert sent[pid] == (detector._epoch - before[pid]) * (n - 1)
+        # Loopback without loss delivers what it sent, bar beats in flight.
+        assert sum(sent.values()) - sum(received.values()) <= n * (n - 1)
+        assert not any(proc.fd.suspected() for proc in live.stack.processes.values())
