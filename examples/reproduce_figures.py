@@ -8,15 +8,12 @@ sweeps bisect threshold rates across seven buffer sizes at full trace
 length).
 
 Run:  python examples/reproduce_figures.py [--fast] [--workers N]
-          [--cache DIR] [--dispatch BACKEND] [--report DIR]
+          [--cache DIR] [--report DIR]
 
 ``--workers N`` fans the grid-shaped experiments (Figures 4–5, the
 view-change table, the ablations) out to N worker processes via the sweep
-engine; results are identical to the serial run.
-
-``--dispatch BACKEND`` routes cells through a registered dispatch backend
-(``local-pool``, ``subprocess``, ``ssh``; see ``docs/sweeps-dispatch.md``)
-instead of the in-process pool; output is byte-identical regardless.
+engine (see ``docs/sweeps-dispatch.md``); results are identical to the
+serial run.
 
 ``--cache DIR`` memoises every (cell, replicate) run in a content-addressed
 on-disk store (see ``docs/sweeps-cache.md``): the first run populates it,
@@ -27,9 +24,9 @@ everything (``repro-sweep gc DIR`` reclaims the stale shards).
 ``--report DIR`` additionally assembles every table and chart into a
 self-contained report (see ``docs/reports.md``): ``DIR/report.md`` holds
 only deterministic sections — the markdown is byte-identical whether the
-sweeps ran serially, pooled, or dispatched, which CI's ``figure-report``
-lane asserts — while ``DIR/report.html`` adds the volatile
-cache/dispatch observability sections.  The report includes a golden
+sweeps ran serially or pooled, which CI's ``figure-report`` lane
+asserts — while ``DIR/report.html`` adds the volatile cache/dispatch
+observability sections.  The report includes a golden
 delta section comparing a freshly computed Figure 4(a) grid against the
 committed ``tests/fixtures/golden_figure_4a.json``.
 """
@@ -47,12 +44,10 @@ def main():
     parser.add_argument("--fast", action="store_true")
     parser.add_argument("--workers", type=int, default=0)
     parser.add_argument("--cache", default=None, metavar="DIR")
-    parser.add_argument("--dispatch", default=None, metavar="BACKEND")
     parser.add_argument("--report", default=None, metavar="DIR")
     args = parser.parse_args()
     fast = args.fast
     workers = args.workers
-    dispatch = args.dispatch
     report = None
     if args.report:
         from repro.report import ReportBuilder
@@ -68,8 +63,6 @@ def main():
     # across all the sweeps below and flush once per sweep.
     cache = SweepCache(args.cache) if args.cache else None
     if fast:
-        # portable_workload stamps the rebuild recipe, so the fast trace
-        # can cross a --dispatch subprocess/ssh worker boundary too.
         trace = portable_workload("game", rounds=2000)
         buffers = (4, 12, 20, 28)
         probes = 4
@@ -77,7 +70,7 @@ def main():
         trace = exp.default_trace()
         buffers = exp.DEFAULT_BUFFERS
         probes = 8
-    grid = dict(workers=workers, cache=cache, dispatch=dispatch, report=report)
+    grid = dict(workers=workers, cache=cache, report=report)
 
     start = time.time()
     before = _counters(args.cache) if cache else None
@@ -94,7 +87,7 @@ def main():
     exp.ablation_representation(trace, show=True, **grid)
     exp.ablation_players(show=True, **grid)
     if report is not None:
-        _golden_delta(report, workers=workers, cache=cache, dispatch=dispatch)
+        _golden_delta(report, workers=workers, cache=cache)
     print(f"\ntotal wall-clock: {time.time() - start:.1f}s")
     if report is not None:
         if args.cache:
@@ -113,7 +106,7 @@ def main():
         )
 
 
-def _golden_delta(report, workers, cache, dispatch):
+def _golden_delta(report, workers, cache):
     """Recompute the golden Figure 4(a) grid and report the delta.
 
     The grid is the committed fixture's own configuration (1500-round
@@ -150,7 +143,6 @@ def _golden_delta(report, workers, cache, dispatch):
         rates=golden["rates"],
         workers=workers,
         cache=cache,
-        dispatch=dispatch,
     )
     report.add_golden_delta(
         "Golden fixture delta — Figure 4(a), 1500-round trace",

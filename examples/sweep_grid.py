@@ -12,17 +12,16 @@ Two demonstrations of the ``repro.sweep`` engine:
    written to JSON.
 
 Run:  python examples/sweep_grid.py [--smoke] [--workers N] [--out FILE]
-                                    [--cache DIR] [--dispatch BACKEND]
+                                    [--cache DIR]
 
 ``--cache DIR`` runs both sweeps through the content-addressed cell cache
 (``docs/sweeps-cache.md``): re-running with the same arguments computes
 zero cells and writes a byte-identical ``--out`` file — the property CI's
 warm-cache lane asserts.
 
-``--dispatch BACKEND`` routes cells through a registered dispatch backend
-(``local-pool``, ``subprocess``, ``ssh`` — ``docs/sweeps-dispatch.md``);
-CI's sweep-dispatch lane ``cmp``s a ``--dispatch subprocess`` run's output
-against the serial run's.
+``--workers N`` runs both sweeps on N worker processes
+(``docs/sweeps-dispatch.md``); CI's warm-cache lane ``cmp``s the pooled
+cold and warm ``--out`` files against a serial run's.
 """
 
 import argparse
@@ -33,10 +32,9 @@ from repro.analysis.experiments import figure_4_sweep
 from repro.workload import portable_workload
 
 
-def figure_sweep(trace, rates, workers, cache=None, dispatch=None):
+def figure_sweep(trace, rates, workers, cache=None):
     result = figure_4_sweep(
         trace, buffer_size=15, rates=rates, workers=workers, cache=cache,
-        dispatch=dispatch,
     )
     print(f"\n== Figure 4(a) via one Sweep call ({result.n_runs} cells) ==")
     print(f"{'msg/s':>8} {'reliable':>10} {'semantic':>10}")
@@ -49,7 +47,7 @@ def figure_sweep(trace, rates, workers, cache=None, dispatch=None):
         )
 
 
-def scenario_sweep(rounds, seeds, workers, out, cache=None, dispatch=None):
+def scenario_sweep(rounds, seeds, workers, out, cache=None):
     sweep = (
         ScenarioSweep(
             base={
@@ -65,7 +63,7 @@ def scenario_sweep(rounds, seeds, workers, out, cache=None, dispatch=None):
         .axis("n", [3, 5])
         .axis("latency_model", ["constant", "lognormal"])
     )
-    result = sweep.run(workers=workers, cache=cache, dispatch=dispatch)
+    result = sweep.run(workers=workers, cache=cache)
     assert result.ok, result.violations  # every cell was invariant-checked
     print(
         f"\n== Scenario grid: n × latency model, {seeds} seeds/cell "
@@ -88,13 +86,9 @@ def main():
     parser.add_argument("--workers", type=int, default=0)
     parser.add_argument("--out", default="sweep_result.json")
     parser.add_argument("--cache", default=None, metavar="DIR")
-    parser.add_argument("--dispatch", default=None, metavar="BACKEND")
     args = parser.parse_args()
     cache = args.cache
-    dispatch = args.dispatch
 
-    # portable_workload stamps the rebuild recipe, so the trace context
-    # survives a --dispatch subprocess/ssh worker boundary.
     if args.smoke:
         trace = portable_workload("game", rounds=1500)
         rates = [80, 40, 20]
@@ -105,9 +99,8 @@ def main():
         rounds, seeds = 600, 3
 
     start = time.time()
-    figure_sweep(trace, rates, args.workers, cache=cache, dispatch=dispatch)
-    scenario_sweep(rounds, seeds, args.workers, args.out, cache=cache,
-                   dispatch=dispatch)
+    figure_sweep(trace, rates, args.workers, cache=cache)
+    scenario_sweep(rounds, seeds, args.workers, args.out, cache=cache)
     print(f"total wall-clock: {time.time() - start:.1f}s")
 
 

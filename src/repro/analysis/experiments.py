@@ -97,13 +97,7 @@ PAPER_FIG5B = {24: (342.0, 857.0)}  # buffer -> (reliable, semantic) ms
 
 
 def default_trace() -> Trace:
-    """The calibrated 5-player session trace (generated once, cached).
-
-    Built through :func:`repro.workload.portable_workload`, so the trace
-    carries its rebuild recipe and can serve as the shared context of a
-    dispatched sweep (``dispatch="subprocess"``/``"ssh"``): workers
-    regenerate it deterministically instead of receiving it over the wire.
-    """
+    """The calibrated 5-player session trace (generated once, cached)."""
     global _default_trace
     if _default_trace is None:
         from repro.workload import portable_workload
@@ -330,8 +324,6 @@ def figure_4_sweep(
     rates: Sequence[int] = DEFAULT_RATES,
     workers: Optional[int] = None,
     cache: Any = None,
-    dispatch: Any = None,
-    dispatch_params: Optional[Mapping[str, Any]] = None,
 ) -> SweepResult:
     """The full Figure 4 grid (both panels read from it)."""
     trace = trace or default_trace()
@@ -344,8 +336,6 @@ def figure_4_sweep(
             workers=workers,
             context=trace,
             cache=cache,
-            dispatch=dispatch,
-            dispatch_params=dispatch_params,
         )
     )
 
@@ -370,14 +360,10 @@ def figure_4a(
     show: bool = False,
     workers: Optional[int] = None,
     cache: Any = None,
-    dispatch: Any = None,
-    dispatch_params: Optional[Mapping[str, Any]] = None,
     report: Any = None,
 ) -> List[Tuple[int, float, float]]:
     """Figure 4(a): producer idle % vs consumer rate, reliable vs semantic."""
-    sweep = figure_4_sweep(
-        trace, buffer_size, rates, workers, cache, dispatch, dispatch_params,
-    )
+    sweep = figure_4_sweep(trace, buffer_size, rates, workers, cache)
     rows = _figure_4_rows(sweep, rates, "producer_idle_pct")
     if show:
         _print_rows(
@@ -404,14 +390,10 @@ def figure_4b(
     show: bool = False,
     workers: Optional[int] = None,
     cache: Any = None,
-    dispatch: Any = None,
-    dispatch_params: Optional[Mapping[str, Any]] = None,
     report: Any = None,
 ) -> List[Tuple[int, float, float]]:
     """Figure 4(b): mean buffer occupancy vs consumer rate."""
-    sweep = figure_4_sweep(
-        trace, buffer_size, rates, workers, cache, dispatch, dispatch_params,
-    )
+    sweep = figure_4_sweep(trace, buffer_size, rates, workers, cache)
     rows = _figure_4_rows(sweep, rates, "mean_occupancy")
     if show:
         _print_rows(
@@ -455,8 +437,6 @@ def figure_5a(
     show: bool = False,
     workers: Optional[int] = None,
     cache: Any = None,
-    dispatch: Any = None,
-    dispatch_params: Optional[Mapping[str, Any]] = None,
     report: Any = None,
 ) -> List[Tuple[int, int, int]]:
     """Figure 5(a): minimum tolerable consumer rate vs buffer size."""
@@ -470,8 +450,6 @@ def figure_5a(
             workers=workers,
             context=trace,
             cache=cache,
-            dispatch=dispatch,
-            dispatch_params=dispatch_params,
         )
     )
     rows = [
@@ -524,8 +502,6 @@ def figure_5b(
     show: bool = False,
     workers: Optional[int] = None,
     cache: Any = None,
-    dispatch: Any = None,
-    dispatch_params: Optional[Mapping[str, Any]] = None,
     report: Any = None,
 ) -> List[Tuple[int, float, float]]:
     """Figure 5(b): tolerated full-stop perturbation length vs buffer size."""
@@ -539,8 +515,6 @@ def figure_5b(
             workers=workers,
             context=trace,
             cache=cache,
-            dispatch=dispatch,
-            dispatch_params=dispatch_params,
         )
     )
     rows = [
@@ -601,8 +575,6 @@ def view_change_latency_table(
     show: bool = False,
     workers: Optional[int] = None,
     cache: Any = None,
-    dispatch: Any = None,
-    dispatch_params: Optional[Mapping[str, Any]] = None,
     report: Any = None,
 ) -> List[Tuple[str, int, int, float]]:
     """View change under load: backlog, purges, app-perceived latency."""
@@ -615,8 +587,6 @@ def view_change_latency_table(
             workers=workers,
             context=trace,
             cache=cache,
-            dispatch=dispatch,
-            dispatch_params=dispatch_params,
         )
     )
     rows = []
@@ -747,8 +717,6 @@ def churn_table(
     show: bool = False,
     workers: Optional[int] = None,
     cache: Any = None,
-    dispatch: Any = None,
-    dispatch_params: Optional[Mapping[str, Any]] = None,
     report: Any = None,
 ) -> List[Tuple[float, float, int, int, float, float, int]]:
     """SVS under partition-heal churn: reliable vs semantic, per cell.
@@ -771,8 +739,6 @@ def churn_table(
             _churn_cell,
             workers=workers,
             cache=cache,
-            dispatch=dispatch,
-            dispatch_params=dispatch_params,
         )
     )
     rows = []
@@ -858,8 +824,6 @@ def ablation_k(
     show: bool = False,
     workers: Optional[int] = None,
     cache: Any = None,
-    dispatch: Any = None,
-    dispatch_params: Optional[Mapping[str, Any]] = None,
     report: Any = None,
 ) -> List[Tuple[int, float, float]]:
     """Sensitivity to the k-enumeration window (paper picks k = 2×buffer).
@@ -876,8 +840,6 @@ def ablation_k(
             workers=workers,
             context=trace,
             cache=cache,
-            dispatch=dispatch,
-            dispatch_params=dispatch_params,
         )
     )
     rows = [
@@ -911,8 +873,6 @@ def ablation_representation(
     show: bool = False,
     workers: Optional[int] = None,
     cache: Any = None,
-    dispatch: Any = None,
-    dispatch_params: Optional[Mapping[str, Any]] = None,
     report: Any = None,
 ) -> List[Tuple[str, float, float]]:
     """Compare the three obsolescence representations of Section 4.2.
@@ -930,8 +890,6 @@ def ablation_representation(
             workers=workers,
             context=trace,
             cache=cache,
-            dispatch=dispatch,
-            dispatch_params=dispatch_params,
         )
     )
     rows = [
@@ -979,8 +937,6 @@ def ablation_players(
     show: bool = False,
     workers: Optional[int] = None,
     cache: Any = None,
-    dispatch: Any = None,
-    dispatch_params: Optional[Mapping[str, Any]] = None,
     report: Any = None,
 ) -> List[Tuple[int, float, float, float]]:
     """Player-count scaling (Section 5.2, last paragraph).
@@ -996,8 +952,6 @@ def ablation_players(
             _players_cell,
             workers=workers,
             cache=cache,
-            dispatch=dispatch,
-            dispatch_params=dispatch_params,
         )
     )
     rows = [

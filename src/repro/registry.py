@@ -208,6 +208,3 @@ failure_detectors = Registry(
 workloads = Registry("workload", "factory(**params) -> Trace")
 fault_profiles = Registry("fault profile", "factory(**params) -> FaultPlan")
 transports = Registry("transport", "factory(clock, **params) -> Transport")
-dispatch_backends = Registry(
-    "dispatch backend", "factory(**params) -> DispatchBackend"
-)

@@ -1,4 +1,4 @@
-"""Self-contained HTML/markdown reports and a live dispatch dashboard.
+"""Self-contained HTML/markdown reports and a live sweep dashboard.
 
 ``python -m repro.report render FILE... --out DIR`` renders any result
 artefact the pipeline produces — :class:`~repro.sweep.result.SweepResult`
@@ -8,7 +8,7 @@ golden-pinnable), ``report.html`` (complete, self-contained) and
 ``charts/*.svg``.
 
 ``python -m repro.report watch DIR`` tails a sweep cache directory while
-a dispatch runs against it — see :mod:`repro.report.dashboard`.
+a pooled sweep runs against it — see :mod:`repro.report.dashboard`.
 
 Programmatic use starts at :class:`ReportBuilder`; the entry points in
 :mod:`repro.analysis.experiments` accept ``report=builder`` and

@@ -1,4 +1,4 @@
-"""``repro-report``: render result artefacts, watch a running dispatch.
+"""``repro-report``: render result artefacts, watch a running pooled sweep.
 
 Two subcommands (also reachable as ``python -m repro.report``):
 
@@ -11,10 +11,10 @@ Two subcommands (also reachable as ``python -m repro.report``):
     deterministic).  ``--title`` overrides the heading.
 
 ``repro-report watch DIR``
-    Terminal dashboard tailing a sweep cache directory while a dispatch
-    runs against it: live shard count and completion rate, cache
-    counters, the last run's per-worker cells/busy/wall table and the
-    steal / re-issue counters.  Curses full-screen on a tty (``q``
+    Terminal dashboard tailing a sweep cache directory while a pooled
+    sweep runs against it: live shard count and completion rate, cache
+    counters, and the last pooled run's workers, wall time and cell
+    counts.  Curses full-screen on a tty (``q``
     quits); ``--once`` prints a single plain frame and exits, ``--frames
     N`` prints N frames (both tty-free, what CI and tests use).
 """
@@ -72,7 +72,7 @@ def _cmd_watch(args: argparse.Namespace) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-report",
-        description="render repro result artefacts; watch a running dispatch",
+        description="render repro result artefacts; watch a running pooled sweep",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -1,15 +1,14 @@
-"""Terminal dashboard: watch a dispatched sweep fill its cache dir.
+"""Terminal dashboard: watch a pooled sweep fill its cache dir.
 
 ``repro-report watch DIR`` (also ``python -m repro.report watch DIR``)
-tails a cache directory while a sweep dispatch runs against it:
+tails a cache directory while a ``workers=N`` sweep runs against it:
 
 * the **shard count** is live — the executor streams each completed
   (cell, replicate) into the cache as it arrives, so the count climbing
   is the sweep making progress, and the per-refresh delta is the
   current cell completion rate;
 * the **dispatch trail** (``dispatch-stats.json``) contributes the last
-  completed run's per-worker cells / busy / wall table and the
-  steal / re-issue / duplicate counters;
+  completed pooled run: workers, wall time, cells cached and computed;
 * the **cache counters** (``cache-stats.json``) show cumulative
   hits / misses / stores.
 
@@ -148,20 +147,6 @@ def render_dashboard(
         f"{last.get('stolen', 0)} stolen, {last.get('reissued', 0)} "
         f"re-issued, {last.get('duplicates', 0)} duplicates"
     )
-    per_worker = last.get("per_worker") or {}
-    if per_worker:
-        lines.append("")
-        lines.append(
-            f"{'worker':<20} {'cells':>7} {'busy (s)':>10} "
-            f"{'wall (s)':>10}  state"
-        )
-        for label, w in sorted(per_worker.items()):
-            flag = "CRASHED" if w.get("crashed") else "ok"
-            lines.append(
-                f"{label[:20]:<20} {w.get('cells', 0):>7} "
-                f"{float(w.get('busy_s', 0.0)):>10.2f} "
-                f"{float(w.get('wall_s', 0.0)):>10.2f}  {flag}"
-            )
     history = runs[:-1]
     if history:
         lines.append("")

@@ -6,11 +6,11 @@ violation summaries, cache/dispatch statistics — that the renderers in
 matters because the two outputs have different contracts:
 
 * the **markdown** report contains only *deterministic* sections, so the
-  same sweep rendered from a serial, pooled, or dispatched run is
+  same sweep rendered from a serial or a pooled run is
   byte-identical and can be pinned by a golden fixture (CI does exactly
   that, see ``tests/report/``);
 * the **HTML** report additionally includes the *volatile* sections —
-  cache hit counters, dispatch per-worker wall times — that legitimately
+  cache hit counters, pool wall times — that legitimately
   differ between runs.
 
 Sections carry a ``volatile`` flag; :meth:`ReportBuilder.add_cache_dir`
@@ -278,7 +278,7 @@ class ReportBuilder:
 
         Reads ``cache-stats.json`` and ``dispatch-stats.json`` (the PR 6/8
         trails).  Volatile by definition — these differ between a serial
-        and a dispatched run of the very same sweep — so they render in
+        and a pooled run of the very same sweep — so they render in
         the HTML report only, keeping the markdown deterministic.
         """
         from repro.report.sources import cache_sections

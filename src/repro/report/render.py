@@ -3,7 +3,7 @@
 Markdown is the *deterministic* artefact: volatile sections (cache and
 dispatch statistics) are skipped, charts are referenced as relative SVG
 files, and no timestamps or environment details are emitted — the same
-sweep reported from a serial, pooled, or dispatched run produces the same
+sweep reported from a serial or a pooled run produces the same
 bytes, which is what the golden report fixture and the CI ``figure-report``
 lane pin.
 

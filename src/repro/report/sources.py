@@ -64,10 +64,10 @@ def sweep_ci_table(
     """
     axes = list(sweep.axes)
     if metrics is None:
-        # Sorted, not insertion order: the framed dispatch backends
-        # round-trip cell metrics through sort_keys JSON, so insertion
-        # order differs between a serial and a subprocess run of the same
-        # sweep — and the markdown must be byte-identical across both.
+        # Sorted, not insertion order: the sweep cache round-trips cell
+        # metrics through sort_keys JSON, so insertion order differs
+        # between a fresh and a warm-cache run of the same sweep — and
+        # the markdown must be byte-identical across both.
         names = set()
         for cell in sweep.cells:
             names.update(cell.metric_names())
@@ -322,9 +322,8 @@ def golden_delta_table(
 
 def cache_sections(path: Any) -> List[Section]:
     """Volatile sections for one cache dir: shard inventory + recorded
-    hit/miss counters, then per-backend dispatch aggregates and the last
-    run's per-worker table (the ``repro-sweep stats`` data, in report
-    form)."""
+    hit/miss counters, then per-backend dispatch aggregates (the
+    ``repro-sweep stats`` data, in report form)."""
     from repro.sweep.cache import cache_stats
     from repro.sweep.dispatch import load_dispatch_stats
 
@@ -391,27 +390,4 @@ def cache_sections(path: Any) -> List[Section]:
             heading="Dispatch stats", pairs=pairs, table=table
         )
         sections.append(section)
-        per_worker = last.get("per_worker") or {}
-        if per_worker:
-            sections.append(
-                StatsSection(
-                    heading="Last dispatch — per worker",
-                    pairs=[],
-                    table=TableSection(
-                        heading="per worker",
-                        header=["worker", "cells", "busy (s)", "wall (s)",
-                                "crashed"],
-                        rows=[
-                            [
-                                label,
-                                fmt_value(w.get("cells", 0)),
-                                f"{float(w.get('busy_s', 0.0)):.2f}",
-                                f"{float(w.get('wall_s', 0.0)):.2f}",
-                                "yes" if w.get("crashed") else "no",
-                            ]
-                            for label, w in sorted(per_worker.items())
-                        ],
-                    ),
-                )
-            )
     return sections

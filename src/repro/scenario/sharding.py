@@ -94,7 +94,6 @@ def run_sharded(
     base_seed: int = 0,
     drain: bool = True,
     on_violation: str = "raise",
-    mp_context: Optional[str] = None,
 ) -> ShardedResult:
     """Run ``shards`` independent scenario groups, optionally in parallel.
 
@@ -113,7 +112,6 @@ def run_sharded(
         context=(factory, until, drain),
         on_violation=on_violation,
         keep_results=True,
-        mp_context=mp_context,
     )
     ordered: List[Tuple[int, ScenarioResult]] = []
     for cell, cell_result in zip(sweep.cells(), result.cells):

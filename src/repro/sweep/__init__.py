@@ -43,7 +43,10 @@ fuzzing harness::
 
 Determinism is scheduling-independent: seeds are derived by hashing cell
 identity, so ``workers=0`` and ``workers=8`` produce byte-identical
-aggregated JSON.
+aggregated JSON.  ``workers=N`` runs the cells on a pool of ``N``
+processes on this host (:mod:`repro.sweep.dispatch`); a worker that dies
+fails the sweep with a :class:`~repro.sweep.grid.SweepError` naming the
+runs that did not finish.  See ``docs/sweeps-dispatch.md``.
 
 Repeat runs are memoisable: ``run(..., cache="path/to/dir")`` (or an
 explicit :class:`~repro.sweep.cache.SweepCache`) stores every completed
@@ -63,27 +66,11 @@ single-cell sweep to reproduce.  A shared ``context`` object may expose a
 ``prepare_worker()`` hook, invoked once per worker process (and once for
 serial runs), to warm per-process caches before the first cell runs.
 
-Cells can leave this machine: ``run(dispatch="subprocess", workers=4)``
-(or ``dispatch="ssh", dispatch_params={"hostfile": "hosts.txt"}``) fans
-cells out through a pluggable dispatch backend (:mod:`repro.sweep.dispatch`)
-speaking a newline-delimited JSON frame protocol (:mod:`repro.sweep.worker`)
-— cache-aware, straggler-resistant, crash-tolerant, and still
-byte-identical to a serial run.  See ``docs/sweeps-dispatch.md``.
-
 The architecture and the kernel hot path behind cell execution are
 documented in ``docs/architecture.md`` and ``docs/kernel.md``.
 """
 
 from repro.sweep.cache import SweepCache, code_fingerprint, context_token
-from repro.sweep.dispatch import (
-    DispatchBackend,
-    DispatchError,
-    DispatchStats,
-    LocalPoolDispatch,
-    SshDispatch,
-    SubprocessDispatch,
-    parse_hostfile,
-)
 from repro.sweep.executor import (
     SweepCellError,
     SweepInvariantError,
@@ -106,13 +93,6 @@ __all__ = [
     "Sweep",
     "SweepCache",
     "SweepError",
-    "DispatchBackend",
-    "DispatchError",
-    "DispatchStats",
-    "LocalPoolDispatch",
-    "SubprocessDispatch",
-    "SshDispatch",
-    "parse_hostfile",
     "SweepResult",
     "code_fingerprint",
     "context_token",

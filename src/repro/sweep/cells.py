@@ -1,35 +1,24 @@
 """Reference cell runners: the runner contract, executable.
 
-Dispatch workers re-import runners by dotted path, so anything a test or
-benchmark fans out over the ``subprocess``/``ssh`` backends must live at
-module level in an importable module.  These runners are that module —
-small, deterministic probes used by the dispatch test-suite and
-benchmarks, and the shortest worked examples of the contract
+Pooled sweeps pickle their runner by reference, so a runner shared by
+tests and examples must live at module level in an importable module.
+These runners are that module — small, deterministic probes, and the
+shortest worked examples of the contract
 (``runner(params, seed, context) -> mapping of metrics``):
 
 * :func:`arithmetic_cell` — a pure seeded computation; the minimal cell.
-* :func:`sleepy_cell` — the same, after an optional per-cell sleep;
-  makes stragglers on demand.
-* :func:`failing_cell` — raises on a designated cell; exercises
-  error-frame propagation.
-* :func:`flaky_worker_cell` — kills its own worker process (once, on a
-  designated cell, only when running inside a dispatch worker); the
-  crash-recovery probe.  Serial runs are unaffected, so its output
-  remains comparable across every execution path.
+* :func:`failing_cell` — raises on a designated cell; exercises error
+  propagation out of a pool worker.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-import time
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, Mapping
 
 __all__ = [
     "arithmetic_cell",
-    "sleepy_cell",
     "failing_cell",
-    "flaky_worker_cell",
 ]
 
 
@@ -56,59 +45,10 @@ def arithmetic_cell(
     return out
 
 
-def sleepy_cell(
-    params: Mapping[str, Any], seed: int, context: Any = None
-) -> Dict[str, float]:
-    """:func:`arithmetic_cell` after sleeping ``params["sleep_s"]`` seconds.
-
-    Give one cell a large ``sleep_s`` and the rest zero to manufacture a
-    straggler; the dedup contract holds because the metrics only depend
-    on (params, seed).
-    """
-    delay = float(params.get("sleep_s") or 0.0)
-    if delay > 0:
-        time.sleep(delay)
-    return _mix(params, seed)
-
-
 def failing_cell(
     params: Mapping[str, Any], seed: int, context: Any = None
 ) -> Dict[str, float]:
     """Raise ``ValueError`` when ``params["x"] == params["fail_at"]``."""
     if params.get("x") == params.get("fail_at"):
         raise ValueError(f"designated failure at x={params.get('x')}")
-    return _mix(params, seed)
-
-
-def _marker(params: Mapping[str, Any]) -> Optional[str]:
-    marker = params.get("marker")
-    return str(marker) if marker else None
-
-
-def flaky_worker_cell(
-    params: Mapping[str, Any], seed: int, context: Any = None
-) -> Dict[str, float]:
-    """Kill the hosting worker process on the designated victim cell.
-
-    Fires only when (a) this process is a dispatch worker
-    (``REPRO_SWEEP_WORKER`` is set — see :mod:`repro.sweep.worker`),
-    (b) ``params["x"] == params["victim"]``, and (c) the ``marker`` file
-    does not exist yet.  The marker is created with ``O_EXCL`` so exactly
-    one process dies even if the cell is speculatively re-issued; the
-    re-run then computes normally and the sweep output stays identical to
-    a serial run.
-    """
-    marker = _marker(params)
-    if (
-        marker is not None
-        and params.get("x") == params.get("victim")
-        and os.environ.get("REPRO_SWEEP_WORKER")
-    ):
-        try:
-            fd = os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            pass
-        else:
-            os.close(fd)
-            os._exit(17)
     return _mix(params, seed)

@@ -13,9 +13,9 @@ Two subcommands over a cache directory (see :mod:`repro.sweep.cache`):
     second pass alone hit ≥90%.
 
     When the directory carries a ``dispatch-stats.json`` trail (written
-    by ``run_sweep(dispatch=...)``), ``stats`` also reports per-backend
-    dispatch timing: cells dispatched / stolen / re-issued, and the last
-    run's per-worker wall and busy times.
+    by every pooled ``run_sweep(workers=N)`` with a cache), ``stats``
+    also reports the pooled runs per backend: runs dispatched and total
+    wall time.
 
 ``repro-sweep gc DIR``
     Evict shards whose code fingerprint no longer matches the installed
@@ -127,15 +127,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
                     f"{agg['reissued']} re-issued, "
                     f"{agg['duplicates']} duplicate results, "
                     f"{agg['wall_s']:.2f}s wall"
-                )
-            last = dispatch["last"]
-            for label, w in sorted(last.get("per_worker", {}).items()):
-                flag = " CRASHED" if w.get("crashed") else ""
-                print(
-                    f"    last run [{last.get('backend', '?')}] {label}: "
-                    f"{w.get('cells', 0)} cells, "
-                    f"{w.get('busy_s', 0.0):.2f}s busy / "
-                    f"{w.get('wall_s', 0.0):.2f}s wall{flag}"
                 )
     if args.assert_hit_rate is not None:
         rate = stats["since_hit_rate"] if args.since else stats["hit_rate"]

@@ -21,8 +21,8 @@ first violated cell aborts the sweep with :class:`SweepInvariantError`
 
 Determinism does not depend on scheduling: seeds are derived from cell
 identity, results are reassembled in grid order, and the serial and
-multiprocess paths share the same per-cell code, so ``workers=0`` and
-``workers=8`` produce byte-identical aggregated JSON.
+pooled paths share the same per-cell code (:func:`_execute`), so
+``workers=0`` and ``workers=8`` produce byte-identical aggregated JSON.
 """
 
 from __future__ import annotations
@@ -138,10 +138,6 @@ def _normalise(
 #: One unit of work: (flat index, cell index, params, replicate, seed).
 _Task = Tuple[int, int, Dict[str, Any], int, int]
 
-# Worker-process state, installed once per worker by the pool initializer
-# so heavyweight context objects are pickled per worker, not per cell.
-_worker_state: Dict[str, Any] = {}
-
 
 def _execute(
     runner: Callable[..., Any],
@@ -193,22 +189,6 @@ def _prepare_context(context: Any) -> None:
         hook()
 
 
-def _init_worker(runner: Callable[..., Any], context: Any, keep_results: bool) -> None:
-    _worker_state["runner"] = runner
-    _worker_state["context"] = context
-    _worker_state["keep_results"] = keep_results
-    _prepare_context(context)
-
-
-def _run_task(task: _Task) -> Tuple[int, int, CellRun]:
-    return _execute(
-        _worker_state["runner"],
-        _worker_state["context"],
-        task,
-        _worker_state["keep_results"],
-    )
-
-
 # ----------------------------------------------------------------------
 # Driver
 # ----------------------------------------------------------------------
@@ -222,31 +202,18 @@ def run_sweep(
     on_violation: str = "raise",
     keep_results: bool = False,
     progress: Optional[Callable[[int, int, CellRun], None]] = None,
-    mp_context: Optional[str] = None,
     cache: Optional[Union[str, pathlib.Path, SweepCache]] = None,
-    chunksize: Union[int, str, None] = None,
-    dispatch: Any = None,
-    dispatch_params: Optional[Mapping[str, Any]] = None,
 ) -> SweepResult:
     """Execute every (cell, replicate) of ``sweep`` with ``runner``.
 
     ``workers=0``/``None``/``1`` runs serially in-process; ``workers>=2``
-    fans cells out to the ``local-pool`` dispatch backend — a
-    :mod:`multiprocessing` pool (``mp_context`` picks the start method;
-    the platform default otherwise) whose ``chunksize`` adapts to the
-    task count unless pinned here.  ``progress`` is called in the parent
-    as ``progress(done, total, run)`` after every completed replicate.
-
-    ``dispatch`` selects any registered dispatch backend by name (or
-    takes a :class:`~repro.sweep.dispatch.DispatchBackend` instance):
-    ``"local-pool"``, ``"subprocess"`` (worker OS processes speaking the
-    :mod:`repro.sweep.worker` frame protocol over pipes), or ``"ssh"``
-    (the same protocol over ssh; hosts via ``dispatch_params``).  All
-    backends produce byte-identical aggregated JSON — scheduling never
-    leaks into results.  ``dispatch_params`` is passed to the backend
-    factory.  Framed backends re-import the runner by dotted path, so it
-    must be module-level, and ship the context as a portable spec (see
-    :func:`repro.sweep.dispatch.context_spec`).
+    fans the runs out to a pool of that many processes on this host (see
+    :mod:`repro.sweep.dispatch`), so ``runner`` and ``context`` must be
+    picklable.  Either way the aggregated JSON is byte-identical —
+    scheduling never leaks into results.  A pool worker that dies fails
+    the sweep with a :class:`~repro.sweep.grid.SweepError` naming the
+    runs that did not finish.  ``progress`` is called in the parent as
+    ``progress(done, total, run)`` after every completed replicate.
 
     ``on_violation`` is the invariant policy: ``"raise"`` aborts on the
     first cell whose run violated the executable specification,
@@ -259,7 +226,9 @@ def run_sweep(
     toward ``progress`` and still trigger ``on_violation``), fresh runs
     are written back.  Both executors share one cache layout, so a
     serial run warms a later pooled run and vice versa, and the merged
-    :class:`SweepResult` is byte-identical either way.
+    :class:`SweepResult` is byte-identical either way.  A pooled run
+    stores each finished run as it arrives, and appends a record to the
+    cache directory's ``dispatch-stats.json`` trail.
     """
     if on_violation not in ("raise", "collect"):
         raise SweepError(
@@ -313,27 +282,7 @@ def run_sweep(
                 run = cache.store(runner, params, replicate, seed, run, ctx_tok)
             record(index, cell_index, run)
 
-        backend = None
-        if dispatch is not None:
-            from repro.sweep.dispatch import resolve_backend
-
-            backend = resolve_backend(
-                dispatch,
-                workers=workers if workers else None,
-                mp_context=mp_context,
-                chunksize=chunksize,
-                params=dispatch_params,
-            )
-        elif workers is not None and workers > 1:
-            from repro.sweep.dispatch import LocalPoolDispatch
-
-            backend = LocalPoolDispatch(
-                workers=workers, mp_context=mp_context, chunksize=chunksize
-            )
-        elif dispatch_params:
-            raise SweepError("dispatch_params requires dispatch=<backend>")
-
-        if backend is None:
+        if workers is None or workers < 2:
             _prepare_context(context)
             for task in pending:
                 index, cell_index, run = _execute(
@@ -341,19 +290,12 @@ def run_sweep(
                 )
                 completed(index, cell_index, run)
         elif pending:
-            from repro.sweep.dispatch import DispatchJob, record_dispatch
+            from repro.sweep.dispatch import record_dispatch, run_pool
 
-            backend.execute(
-                DispatchJob(
-                    tasks=list(pending),
-                    runner=runner,
-                    context=context,
-                    keep_results=keep_results,
-                    emit=completed,
-                )
+            entry = run_pool(
+                pending, runner, context, keep_results, workers, completed
             )
-            if cache is not None and backend.stats is not None:
-                entry = backend.stats.to_dict()
+            if cache is not None:
                 entry["cells_total"] = len(tasks)
                 entry["cells_cached"] = len(tasks) - len(pending)
                 record_dispatch(cache.path, entry)

@@ -215,8 +215,7 @@ class Sweep:
 
         See :func:`repro.sweep.executor.run_sweep` for the keyword options
         (``workers``, ``context``, ``on_violation``, ``keep_results``,
-        ``progress``, ``mp_context``, ``cache``, ``chunksize``,
-        ``dispatch``, ``dispatch_params``).
+        ``progress``, ``cache``).
         """
         from repro.sweep.executor import run_sweep
 

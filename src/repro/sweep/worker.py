@@ -1,204 +1,40 @@
-"""Sweep worker: one OS process speaking newline-delimited JSON frames.
+"""The side of a pooled sweep that runs inside each worker process.
 
-``python -m repro.sweep.worker`` turns any host with the package on its
-``PYTHONPATH`` into a sweep executor.  The parent (a
-:class:`~repro.sweep.dispatch.FramedDispatch` backend) writes one JSON
-object per line on the worker's stdin and reads one JSON object per line
-from its stdout — exactly the framing a remote host sees, whether the
-transport is a local pipe (``subprocess`` backend) or an ``ssh`` channel
-(``ssh`` backend).
-
-Parent → worker frames::
-
-    {"type": "hello", "protocol": 1, "runner": "module:qualname",
-     "context": <context spec or null>, "keep_results": false}
-    {"type": "job", "id": 17, "params": {...}, "replicate": 0, "seed": 123}
-    {"type": "shutdown"}
-
-Worker → parent frames::
-
-    {"type": "ready", "protocol": 1, "pid": 4242}
-    {"type": "result", "id": 17, "elapsed": 0.0123, "run": {CellRun dict}}
-    {"type": "error", "id": 17, "error": "...", "params": {...},
-     "replicate": 0, "seed": 123}
-    {"type": "fatal", "error": "..."}
-
-The worker executes jobs strictly in arrival order, one at a time, through
-the same :func:`repro.sweep.executor._execute` used by the serial and
-pooled paths — so a result frame's ``run`` dict is the JSON round trip of
-exactly the :class:`~repro.sweep.result.CellRun` a serial run would have
-produced, and aggregated sweep output stays byte-identical across
-backends (Python's JSON float encoding is shortest-round-trip exact).
-
-Context specs describe how the worker rebuilds the shared context object
-locally instead of shipping pickles over the wire:
-
-``null``
-    No context.
-``{"kind": "json", "data": ...}``
-    Any JSON-encodable context, passed through verbatim.
-``{"kind": "workload", "name": "game", "params": {...}}``
-    A registered workload trace, rebuilt via ``workloads.create(name)``.
-``{"kind": "factory", "path": "module:qualname", "params": {...}}``
-    An importable zero-side-effect factory called with JSON params.
-
-Objects advertise their spec through a ``worker_recipe()`` method (see
-:meth:`repro.workload.trace.Trace.worker_recipe`); contexts without one
-and without a JSON encoding are rejected before any worker is spawned.
+:func:`repro.sweep.dispatch.run_pool` starts every pool process with
+:func:`_init_worker`, which installs the runner and the shared context
+once per process (so a heavyweight context such as a trace is shipped per
+worker, not per cell) and runs the context's ``prepare_worker()`` hook.
+Each submitted chunk then runs through :func:`_run_chunk`, which applies
+the same :func:`repro.sweep.executor._execute` as a serial run, so a
+pooled run returns exactly the :class:`~repro.sweep.result.CellRun` a
+serial run would have produced.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import sys
-import time
-from typing import Any, Callable, Dict, Optional, TextIO
+from typing import Any, Callable, Dict, List, Tuple
 
-__all__ = ["PROTOCOL", "FRAME_TYPES", "resolve_callable", "build_context", "main"]
+from repro.sweep.executor import _execute, _prepare_context, _Task
+from repro.sweep.result import CellRun
 
-#: Wire-protocol version; bumped on any frame-shape change.
-PROTOCOL = 1
-
-#: Every frame type of protocol 1, parent→worker then worker→parent.
-FRAME_TYPES = ("hello", "job", "shutdown", "ready", "result", "error", "fatal")
-
-#: Set in every worker process before the first job runs — lets cell
-#: runners (and fault-injection probes in tests) detect that they execute
-#: inside a dispatch worker rather than the parent.
-WORKER_ENV = "REPRO_SWEEP_WORKER"
+# Worker-process state, installed once per worker by the pool initializer.
+_worker_state: Dict[str, Any] = {}
 
 
-def resolve_callable(path: str) -> Callable[..., Any]:
-    """Import ``"module:qualname"`` back into the callable it names."""
-    module_name, _, qualname = path.partition(":")
-    if not module_name or not qualname:
-        raise ValueError(f"runner path must be 'module:qualname': {path!r}")
-    if "<locals>" in qualname:
-        raise ValueError(
-            f"runner {path!r} is defined inside a function; dispatch workers "
-            f"can only import module-level callables"
+def _init_worker(runner: Callable[..., Any], context: Any, keep_results: bool) -> None:
+    _worker_state["runner"] = runner
+    _worker_state["context"] = context
+    _worker_state["keep_results"] = keep_results
+    _prepare_context(context)
+
+
+def _run_chunk(chunk: List[_Task]) -> List[Tuple[int, int, CellRun]]:
+    return [
+        _execute(
+            _worker_state["runner"],
+            _worker_state["context"],
+            task,
+            _worker_state["keep_results"],
         )
-    import importlib
-
-    obj: Any = importlib.import_module(module_name)
-    for part in qualname.split("."):
-        obj = getattr(obj, part)
-    if not callable(obj):
-        raise ValueError(f"{path!r} resolved to non-callable {type(obj).__name__}")
-    return obj
-
-
-def build_context(spec: Optional[Dict[str, Any]]) -> Any:
-    """Rebuild the shared context object a spec describes (see module doc)."""
-    if spec is None:
-        return None
-    kind = spec.get("kind")
-    if kind == "json":
-        return spec.get("data")
-    if kind == "workload":
-        import repro  # noqa: F401  (imports register every workload)
-        from repro.registry import workloads
-
-        trace = workloads.create(spec["name"], **dict(spec.get("params") or {}))
-        # Re-stamp the recipe so a context rebuilt in a worker is itself
-        # portable (nested dispatch, diagnostics).
-        trace.recipe = {"kind": "workload", "name": spec["name"],
-                        "params": dict(spec.get("params") or {})}
-        return trace
-    if kind == "factory":
-        factory = resolve_callable(spec["path"])
-        return factory(**dict(spec.get("params") or {}))
-    raise ValueError(f"unknown context spec kind: {kind!r}")
-
-
-def _emit(out: TextIO, frame: Dict[str, Any]) -> None:
-    out.write(json.dumps(frame, sort_keys=True) + "\n")
-    out.flush()
-
-
-def main(stdin: Optional[TextIO] = None, stdout: Optional[TextIO] = None) -> int:
-    """Run the worker loop; returns a process exit code.
-
-    With no arguments the real stdio streams are used, and ``sys.stdout``
-    is rebound to stderr first so stray prints from cell runners cannot
-    corrupt the frame stream.  Tests drive the loop in-process by passing
-    explicit text streams.
-    """
-    os.environ[WORKER_ENV] = "1"
-    if stdout is None:
-        # Duplicate the real stdout fd for frames, then point sys.stdout
-        # (and anything a runner prints) at stderr.
-        out = os.fdopen(os.dup(sys.stdout.fileno()), "w", encoding="utf-8")
-        sys.stdout = sys.stderr
-    else:
-        out = stdout
-    inp = stdin if stdin is not None else sys.stdin
-
-    from repro.sweep.executor import SweepCellError, _execute, _prepare_context
-
-    runner: Optional[Callable[..., Any]] = None
-    context: Any = None
-    keep_results = False
-
-    for line in inp:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            frame = json.loads(line)
-            ftype = frame.get("type")
-        except Exception as exc:
-            _emit(out, {"type": "fatal", "error": f"bad frame: {exc}"})
-            return 2
-        if ftype == "hello":
-            try:
-                if frame.get("protocol") != PROTOCOL:
-                    raise ValueError(
-                        f"protocol mismatch: parent speaks "
-                        f"{frame.get('protocol')!r}, worker speaks {PROTOCOL}"
-                    )
-                runner = resolve_callable(frame["runner"])
-                context = build_context(frame.get("context"))
-                keep_results = bool(frame.get("keep_results"))
-                _prepare_context(context)
-            except Exception as exc:
-                _emit(out, {"type": "fatal",
-                            "error": f"{type(exc).__name__}: {exc}"})
-                return 2
-            _emit(out, {"type": "ready", "protocol": PROTOCOL,
-                        "pid": os.getpid()})
-        elif ftype == "job":
-            if runner is None:
-                _emit(out, {"type": "fatal", "error": "job before hello"})
-                return 2
-            job_id = frame.get("id")
-            params = frame["params"]
-            replicate = frame["replicate"]
-            seed = frame["seed"]
-            task = (0, 0, params, replicate, seed)
-            started = time.perf_counter()
-            try:
-                _, _, run = _execute(runner, context, task, keep_results)
-            except SweepCellError as exc:
-                _emit(out, {
-                    "type": "error", "id": job_id, "error": str(exc),
-                    "params": exc.params, "replicate": exc.replicate,
-                    "seed": exc.seed,
-                })
-                continue
-            _emit(out, {
-                "type": "result", "id": job_id,
-                "elapsed": time.perf_counter() - started,
-                "run": run.to_dict(),
-            })
-        elif ftype == "shutdown":
-            break
-        else:
-            _emit(out, {"type": "fatal", "error": f"unknown frame type: {ftype!r}"})
-            return 2
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via subprocess
-    sys.exit(main())
+        for task in chunk
+    ]

@@ -16,20 +16,14 @@ from repro.workload.trace import (
 )
 
 def portable_workload(name: str, **params: Any) -> Trace:
-    """Create a registered workload trace stamped with its worker recipe.
+    """Create the registered workload ``name`` with ``params``.
 
-    The returned :class:`Trace` carries ``recipe = {"kind": "workload",
-    "name": ..., "params": ...}``, so it can serve as a sweep context for
-    the framed dispatch backends (``subprocess``/``ssh``): workers rebuild
-    the identical trace locally instead of receiving megabytes of messages
-    over the wire.  Generation is deterministic in ``params``, so the
-    rebuilt trace is byte-identical to this one.
+    Generation is deterministic in ``params``, so two calls with the same
+    arguments build byte-identical traces.
     """
     from repro.registry import workloads
 
-    trace = workloads.create(name, **params)
-    trace.recipe = {"kind": "workload", "name": name, "params": dict(params)}
-    return trace
+    return workloads.create(name, **params)
 
 
 __all__ = [

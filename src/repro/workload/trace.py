@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.message import DataMessage, MessageId
 from repro.core.obsolescence import (
@@ -83,14 +83,6 @@ class Trace:
     fps: float
     active_per_round: List[int] = field(default_factory=list)
     label: str = ""
-    #: How to rebuild this trace on another host (a context spec dict,
-    #: see :mod:`repro.sweep.worker`) — stamped by
-    #: :func:`repro.workload.portable_workload`; ``None`` means the trace
-    #: cannot cross a dispatch-worker boundary.  Not part of identity:
-    #: excluded from equality and from :meth:`cache_token`.
-    recipe: Optional[Dict[str, Any]] = field(
-        default=None, repr=False, compare=False
-    )
 
     @property
     def duration(self) -> float:
@@ -125,10 +117,6 @@ class Trace:
                 f"{m.index}|{m.round}|{m.time!r}|{m.item}|{m.kind.value}\n".encode()
             )
         return digest.hexdigest()
-
-    def worker_recipe(self) -> Optional[Dict[str, Any]]:
-        """The context spec dispatch workers rebuild this trace from."""
-        return self.recipe
 
 
 @dataclass(frozen=True)

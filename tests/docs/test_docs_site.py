@@ -10,6 +10,7 @@ the structural checks runnable in environments without mkdocs installed.
 import pathlib
 import re
 
+import pytest
 import yaml
 
 import repro.analysis.experiments as experiments
@@ -250,39 +251,6 @@ class TestSweepCacheDocMatchesCode:
 
 
 class TestSweepDispatchDocMatchesCode:
-    def test_every_backend_documented(self):
-        """A new dispatch backend cannot land without a row in the
-        sweeps-dispatch.md backend matrix."""
-        import repro.sweep  # noqa: F401  (registers the backends)
-        from repro.registry import dispatch_backends
-
-        text = (DOCS / "sweeps-dispatch.md").read_text()
-        missing = [n for n in dispatch_backends.names() if f"`{n}`" not in text]
-        assert not missing, f"sweeps-dispatch.md misses backends: {missing}"
-
-    def test_every_frame_type_documented(self):
-        """The wire-protocol tables must cover every frame the worker
-        speaks, and quote the current protocol version."""
-        from repro.sweep import worker
-
-        text = (DOCS / "sweeps-dispatch.md").read_text()
-        missing = [f for f in worker.FRAME_TYPES if f"`{f}`" not in text]
-        assert not missing, f"sweeps-dispatch.md misses frames: {missing}"
-        assert f"protocol version `{worker.PROTOCOL}`" in text
-
-    def test_scheduling_knobs_documented_and_real(self):
-        import inspect
-
-        from repro.sweep.dispatch import FramedDispatch, SshDispatch
-
-        text = (DOCS / "sweeps-dispatch.md").read_text()
-        assert "hostfile" in text and "max_copies" in text
-        sig = inspect.signature(FramedDispatch.__init__)
-        assert sig.parameters["max_copies"].default == 2
-        for param in ("hosts", "hostfile", "python", "pythonpath", "ssh_args"):
-            assert param in inspect.signature(SshDispatch.__init__).parameters
-            assert f"`{param}`" in text
-
     def test_stats_trail_documented(self):
         from repro.sweep.dispatch import DISPATCH_STATS_FILE
 
@@ -296,13 +264,49 @@ class TestSweepDispatchDocMatchesCode:
         assert "`repro.sweep.dispatch`" in text
         assert "sweeps-dispatch.md" in text
 
-    def test_cited_worker_module_runs(self):
-        """The doc quotes `python -m repro.sweep.worker`; keep it real."""
+    @pytest.mark.parametrize(
+        "topic, phrase",
+        [
+            ("workers option", "workers=N"),
+            ("byte identity", "byte-identical"),
+            ("cache streaming", "## Cache streaming"),
+            ("stats trail", "## The `dispatch-stats.json` trail"),
+            ("worker death", "SweepError"),
+        ],
+    )
+    def test_parallel_sweeps_page_covers(self, topic, phrase):
         text = (DOCS / "sweeps-dispatch.md").read_text()
-        assert "repro.sweep.worker" in text
-        import repro.sweep.worker as worker
+        assert phrase in text, f"sweeps-dispatch.md does not cover {topic}"
 
-        assert callable(worker.main)
+    def test_cited_entry_points_are_real(self):
+        import repro.sweep.dispatch as dispatch
+        import repro.sweep.executor as executor
+
+        text = (DOCS / "sweeps-dispatch.md").read_text()
+        assert "`repro.sweep.dispatch.run_pool`" in text
+        assert callable(dispatch.run_pool)
+        assert "`auto_chunksize(runs, workers)`" in text
+        assert callable(dispatch.auto_chunksize)
+        assert "`repro.sweep.executor._execute`" in text
+        assert callable(executor._execute)
+
+    def test_cited_failure_tests_exist(self):
+        text = (DOCS / "sweeps-dispatch.md").read_text()
+        cited = "tests/sweep/test_dispatch.py::TestPoolFailures"
+        assert cited in text
+        source = (REPO / "tests/sweep/test_dispatch.py").read_text()
+        assert "class TestPoolFailures" in source
+
+    def test_nav_lists_parallel_sweeps(self):
+        config, _files = load_nav_files()
+        assert {"Parallel sweeps": "sweeps-dispatch.md"} in config["nav"]
+
+    def test_no_page_mentions_removed_knobs(self):
+        pages = [REPO / "README.md", *sorted(DOCS.glob("*.md"))]
+        for page in pages:
+            text = page.read_text()
+            for knob in ("--dispatch", "dispatch_params", "mp_context"):
+                assert knob not in text, f"{page.name} mentions {knob}"
 
 
 class TestReportDocMatchesCode:

@@ -7,7 +7,7 @@ from repro.report import read_state, render_dashboard, watch
 from repro.sweep.dispatch import record_dispatch
 
 
-def make_cache_dir(tmp_path, shards=3, runs=1, per_worker=True):
+def make_cache_dir(tmp_path, shards=3, runs=1):
     """A fake cache dir: shard files + counters + a dispatch trail."""
     root = tmp_path / "cache"
     shard_dir = root / "ab"
@@ -32,17 +32,6 @@ def make_cache_dir(tmp_path, shards=3, runs=1, per_worker=True):
                 "stolen": 1,
                 "reissued": 0,
                 "duplicates": 0,
-                "per_worker": (
-                    {
-                        "local/0": {"cells": 4, "busy_s": 1.2, "wall_s": 1.5},
-                        "local/1": {
-                            "cells": 2, "busy_s": 0.7, "wall_s": 1.4,
-                            "crashed": True,
-                        },
-                    }
-                    if per_worker
-                    else {}
-                ),
             },
         )
     return root
@@ -75,8 +64,6 @@ class TestRenderDashboard:
         assert "local-pool × 2 workers" in text
         assert "8/8" in text  # 2 cached + 6 computed of 8 total
         assert "1 stolen" in text
-        assert "local/0" in text and "ok" in text
-        assert "local/1" in text and "CRASHED" in text
 
     def test_progress_rate_from_previous_snapshot(self, tmp_path):
         state = read_state(make_cache_dir(tmp_path, shards=10))
@@ -122,3 +109,43 @@ class TestWatchLoop:
         rc = watch(tmp_path / "nope", interval=0.01, iterations=1, stream=out)
         assert rc == 0
         assert "does not exist yet" in out.getvalue()
+
+
+class TestPooledSweepTrail:
+    def test_dashboard_follows_a_real_pooled_sweep(self, tmp_path):
+        from repro.sweep import Sweep, run_sweep
+        from repro.sweep.cells import arithmetic_cell
+
+        root = tmp_path / "cache"
+        sweep = Sweep(base={"k": 7}, seeds=2).axis("x", [1, 2, 3, 4])
+        run_sweep(sweep, arithmetic_cell, workers=2, cache=root)
+        state = read_state(root)
+        assert state["shards"] > 0 and len(state["runs"]) == 1
+        text = "\n".join(render_dashboard(state))
+        assert "local-pool × 2 workers" in text
+        assert "8/8" in text
+
+    def test_older_trail_fields_are_ignored(self, tmp_path):
+        # Trails written before the pool became the only parallel path
+        # carry a per-worker table; the dashboard renders them unchanged.
+        root = make_cache_dir(tmp_path)
+        record_dispatch(
+            root,
+            {
+                "backend": "subprocess",
+                "workers": 2,
+                "wall_s": 1.5,
+                "cells_total": 8,
+                "cells_cached": 2,
+                "completed": 6,
+                "stolen": 1,
+                "reissued": 0,
+                "duplicates": 0,
+                "per_worker": {"local/0": {"cells": 6, "busy_s": 1.2}},
+            },
+        )
+        text = "\n".join(render_dashboard(read_state(root)))
+        assert "subprocess × 2 workers" in text
+        assert "local/0" not in text
+        assert "1 earlier dispatch runs" in text
+

@@ -2,7 +2,7 @@
 
 ``golden_report.md`` pins the rendered markdown of a small Figure 4(a)
 sweep (600-round trace, two consumer rates).  The same bytes must come
-out of a serial run, a pooled run, and a dispatched run — the
+out of a serial run, a pooled run, and a cold or warm cached run — the
 determinism contract of :mod:`repro.report.render`: the markdown holds
 only deterministic sections, so execution strategy cannot show through.
 
@@ -50,14 +50,12 @@ class TestGoldenReport:
     def test_pooled_run_is_byte_identical(self):
         assert build_markdown(workers=2) == GOLDEN.read_text(encoding="utf-8")
 
-    def test_dispatched_run_is_byte_identical(self, tmp_path):
-        markdown = build_markdown(
-            dispatch="local-pool", cache=str(tmp_path / "cache")
-        )
+    def test_pooled_cached_run_is_byte_identical(self, tmp_path):
+        markdown = build_markdown(workers=2, cache=str(tmp_path / "cache"))
         assert markdown == GOLDEN.read_text(encoding="utf-8")
 
     def test_warm_cache_rerun_is_byte_identical(self, tmp_path):
         cache = str(tmp_path / "cache")
-        first = build_markdown(dispatch="local-pool", cache=cache)
-        warm = build_markdown(dispatch="local-pool", cache=cache)
+        first = build_markdown(workers=2, cache=cache)
+        warm = build_markdown(workers=2, cache=cache)
         assert first == warm == GOLDEN.read_text(encoding="utf-8")

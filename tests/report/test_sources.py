@@ -133,7 +133,7 @@ class TestCacheSections:
         record_dispatch(
             cache_dir,
             {
-                "backend": "subprocess",
+                "backend": "local-pool",
                 "workers": 2,
                 "wall_s": 1.5,
                 "dispatched": 4,
@@ -142,24 +142,52 @@ class TestCacheSections:
                 "duplicates": 0,
                 "cells_total": 4,
                 "cells_cached": 0,
-                "per_worker": {
-                    "local/0": {"cells": 3, "busy_s": 1.0, "wall_s": 1.4},
-                    "local/1": {
-                        "cells": 1, "busy_s": 0.2, "wall_s": 0.9,
-                        "crashed": True,
-                    },
-                },
             },
         )
         headings = [s.heading for s in cache_sections(cache_dir)]
         assert "Dispatch stats" in headings
-        assert "Last dispatch — per worker" in headings
-        per_worker = next(
-            s for s in cache_sections(cache_dir)
-            if s.heading == "Last dispatch — per worker"
+
+    def test_older_trail_records_render_without_per_worker_table(
+        self, tmp_path
+    ):
+        from repro.sweep.dispatch import record_dispatch
+
+        cache_dir = tmp_path / "cache"
+        run_sweep(
+            Sweep(base={"k": 1}, seeds=1).axis("x", [1]),
+            arithmetic_cell,
+            cache=str(cache_dir),
         )
-        rows = per_worker.table.rows
-        assert rows[1][0] == "local/1" and rows[1][-1] == "yes"
+        record_dispatch(
+            cache_dir,
+            {
+                "backend": "ssh",
+                "workers": 2,
+                "wall_s": 1.5,
+                "dispatched": 4,
+                "stolen": 1,
+                "reissued": 1,
+                "duplicates": 0,
+                "cells_total": 4,
+                "cells_cached": 0,
+                "per_worker": {"host/0": {"cells": 4, "busy_s": 1.0}},
+            },
+        )
+        sections = cache_sections(cache_dir)
+        headings = [s.heading for s in sections]
+        assert "Dispatch stats" in headings
+        assert not [h for h in headings if "per worker" in h]
+
+    def test_pooled_sweep_trail_contributes_sections(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        run_sweep(
+            Sweep(base={"k": 1}, seeds=2).axis("x", [1, 2]),
+            arithmetic_cell,
+            cache=str(cache_dir),
+            workers=2,
+        )
+        headings = [s.heading for s in cache_sections(cache_dir)]
+        assert "Dispatch stats" in headings
 
     def test_report_markdown_stays_deterministic_with_cache_dir(
         self, tmp_path

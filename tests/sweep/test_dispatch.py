@@ -1,131 +1,92 @@
-"""Dispatch backends: determinism across paths, crash recovery, protocol.
+"""The process pool behind ``workers=N``: same bytes, loud failures, trail.
 
-The tentpole contract: serial == local-pool == subprocess == ssh —
-byte-identical aggregated JSON on the same grid/seed, including
-cold-with-cache and warm runs; a worker killed mid-sweep re-queues its
-in-flight cells and the sweep still completes identically.
-
-ssh-to-localhost is exercised through a shim ``ssh`` executable (this
-environment runs no sshd): the shim drops the client options and host
-argument and runs the remote command locally, so every byte of the ssh
-backend's code path — remote command construction, per-host slots, frame
-transport over the child's pipes — is covered.  A real-ssh variant runs
-whenever ``ssh localhost`` actually works.
+The contract: a pooled run produces byte-identical aggregated JSON to a
+serial run on the same grid/seed, including cold-with-cache and warm
+runs; a cell error in a worker names its cell; a worker that dies fails
+the sweep instead of hanging it; and every cache-backed pooled run leaves
+one record in the ``dispatch-stats.json`` trail.
 """
 
-import io
 import json
 import os
-import pathlib
-import subprocess
-import sys
 import time
 
 import pytest
 
-from repro.registry import dispatch_backends
-from repro.sweep import (
-    DispatchError,
-    LocalPoolDispatch,
-    SshDispatch,
-    SubprocessDispatch,
-    Sweep,
-    SweepCache,
-    SweepError,
-    parse_hostfile,
-    run_sweep,
-)
-from repro.sweep.cells import (
-    arithmetic_cell,
-    failing_cell,
-    flaky_worker_cell,
-    sleepy_cell,
-)
+from repro.sweep import Sweep, SweepError, run_sweep
+from repro.sweep.cells import arithmetic_cell, failing_cell
 from repro.sweep.dispatch import (
+    _lost_runs_error,
     auto_chunksize,
-    context_spec,
     load_dispatch_stats,
     record_dispatch,
-    resolve_backend,
-    runner_path,
+    run_pool,
 )
-from repro.sweep.executor import SweepCellError
-from repro.sweep import worker as worker_mod
+from repro.sweep.executor import (
+    SweepCellError,
+    SweepInvariantError,
+    _execute,
+)
 
 
 def small_sweep(**base):
     return Sweep(base={"k": 7, **base}, seeds=2).axis("x", [1, 2, 3, 4])
 
 
-def make_ssh_shim(tmp_path) -> str:
-    """A fake ssh client: drop options + host, run the command locally."""
-    shim = tmp_path / "fake-ssh"
-    shim.write_text(
-        "#!/bin/sh\n"
-        'while [ "$#" -gt 0 ]; do\n'
-        '  case "$1" in\n'
-        "    -o) shift 2 ;;\n"
-        "    -*) shift ;;\n"
-        "    *) break ;;\n"
-        "  esac\n"
-        "done\n"
-        'host="$1"; shift\n'
-        'exec /bin/sh -c "$*"\n'
-    )
-    shim.chmod(0o755)
-    return str(shim)
+# Module-level so the pool can pickle it.
+def dies_on_x3(params, seed, context):
+    """Kill the hosting process on cell x == 3, as a segfault would."""
+    if params["x"] == 3:
+        os._exit(1)
+    return arithmetic_cell(params, seed, context)
 
 
-def ssh_localhost_works() -> bool:
-    try:
-        return (
-            subprocess.run(
-                ["ssh", "-o", "BatchMode=yes", "-o", "ConnectTimeout=2",
-                 "localhost", "true"],
-                stdout=subprocess.DEVNULL,
-                stderr=subprocess.DEVNULL,
-                timeout=10,
-            ).returncode
-            == 0
-        )
-    except (OSError, subprocess.TimeoutExpired):
-        return False
+#: Environment variable naming a file whose existence arms :func:`dies_if_armed`.
+KILL_SWITCH_ENV = "REPRO_TEST_KILL_SWITCH"
 
 
-class TestRegistry:
-    def test_backends_registered(self):
-        names = dispatch_backends.names()
-        assert {"local-pool", "subprocess", "ssh"} <= set(names)
+def dies_if_armed(params, seed, context):
+    """Like :func:`dies_on_x3`, but only while the kill-switch file exists.
 
-    def test_aliases(self):
-        assert dispatch_backends.get("pool") is LocalPoolDispatch
-        assert dispatch_backends.get("worker") is SubprocessDispatch
+    The switch lives outside params and context, so disarming it leaves
+    every cache key unchanged and a rerun can be served from the cache.
+    """
+    switch = os.environ.get(KILL_SWITCH_ENV, "")
+    if params["x"] == 3 and switch and os.path.exists(switch):
+        os._exit(1)
+    return arithmetic_cell(params, seed, context)
 
-    def test_unknown_backend_suggests(self):
-        with pytest.raises(SweepError, match="subprocess"):
-            run_sweep(small_sweep(), arithmetic_cell, dispatch="subproces")
 
-    def test_resolve_instance_passthrough(self):
-        backend = LocalPoolDispatch(workers=2)
-        assert resolve_backend(backend) is backend
+def violates_on_even(params, seed, context):
+    out = arithmetic_cell(params, seed, context)
+    if params["x"] % 2 == 0:
+        out["violations"] = [f"synthetic violation at x={params['x']}"]
+    return out
 
-    def test_resolve_instance_rejects_params(self):
-        with pytest.raises(SweepError, match="dispatch_params"):
-            resolve_backend(LocalPoolDispatch(workers=2), params={"workers": 3})
 
-    def test_resolve_filters_kwargs_by_signature(self):
-        # subprocess's factory takes workers but not mp_context/chunksize;
-        # resolve must not explode passing the inapplicable ones.
-        backend = resolve_backend(
-            "subprocess", workers=3, mp_context="spawn", chunksize=4
-        )
-        assert backend.n_workers == 3
+#: Set in each pool process by :meth:`PidContext.prepare_worker`.
+_PREPARED_PID = None
 
-    def test_dispatch_params_without_dispatch_rejected(self):
-        with pytest.raises(SweepError, match="dispatch_params"):
-            run_sweep(
-                small_sweep(), arithmetic_cell, dispatch_params={"workers": 2}
-            )
+
+class PidContext:
+    """A context whose ``prepare_worker`` hook stamps the hosting process."""
+
+    def prepare_worker(self):
+        global _PREPARED_PID
+        _PREPARED_PID = os.getpid()
+
+
+def prepared_here(params, seed, context):
+    return {"prepared": float(_PREPARED_PID == os.getpid())}
+
+
+def tasks_for(sweep):
+    """The executor's task list for ``sweep``: (index, cell, params, rep, seed)."""
+    tasks = []
+    for cell_index, params in enumerate(sweep.cells()):
+        for replicate, seed in enumerate(sweep.seeds_for(params)):
+            tasks.append((len(tasks), cell_index, params, replicate, seed))
+    return tasks
 
 
 class TestAutoChunksize:
@@ -138,290 +99,150 @@ class TestAutoChunksize:
         # 22 tasks over 2 workers: a few chunks per worker, not one giant.
         assert 1 <= auto_chunksize(22, 2) <= 6
 
-    def test_pinned_chunksize_respected(self):
-        backend = LocalPoolDispatch(workers=2, chunksize=5)
-        run_sweep(small_sweep(), arithmetic_cell, dispatch=backend)
-        assert backend.stats.chunksize == 5
+    @pytest.mark.parametrize(
+        "n_tasks, workers, expected",
+        [
+            (0, 4, 1),
+            (1, 4, 1),
+            (7, 2, 1),
+            (8, 2, 1),
+            (16, 2, 2),
+            (64, 2, 8),
+            (256, 2, 32),
+            (10_000, 8, 32),
+            (5, 0, 1),
+        ],
+    )
+    def test_table(self, n_tasks, workers, expected):
+        assert auto_chunksize(n_tasks, workers) == expected
+
+    @pytest.mark.parametrize("workers", [2, 3, 4, 8])
+    def test_about_four_chunks_per_worker_below_the_clamp(self, workers):
+        for n_tasks in range(1, 1200):
+            chunk = auto_chunksize(n_tasks, workers)
+            assert 1 <= chunk <= 32
+            n_chunks = -(-n_tasks // chunk)
+            if chunk < 32:
+                # Never fewer than ~4 chunks per worker unless the grid
+                # is too small to split that finely.
+                assert n_chunks >= min(n_tasks, workers * 4)
 
 
-class TestHostfile:
-    def test_parse(self, tmp_path):
-        hf = tmp_path / "hosts"
-        hf.write_text(
-            "# fleet\n"
-            "alpha 4\n"
-            "beta\n"
-            "gamma 2  # trailing comment\n"
-            "\n"
+class TestRunPool:
+    """:func:`run_pool` on its own: every task once, the trail record."""
+
+    @pytest.mark.parametrize(
+        "n_cells, workers", [(1, 2), (5, 2), (17, 3), (40, 2)]
+    )
+    def test_every_task_emitted_once_as_serial_would(self, n_cells, workers):
+        sweep = Sweep(base={"k": 3}).axis("x", list(range(n_cells)))
+        tasks = tasks_for(sweep)
+        emitted = {}
+
+        def emit(index, cell_index, run):
+            assert index not in emitted
+            emitted[index] = (cell_index, run)
+
+        entry = run_pool(tasks, arithmetic_cell, None, False, workers, emit)
+        assert sorted(emitted) == list(range(len(tasks)))
+        for task in tasks:
+            index, cell_index, run = _execute(arithmetic_cell, None, task, False)
+            assert emitted[index] == (cell_index, run)
+        assert entry["dispatched"] == entry["completed"] == len(tasks)
+        assert entry["workers"] == workers
+        assert entry["chunksize"] == auto_chunksize(len(tasks), workers)
+
+    def test_record_keeps_the_keys_trail_readers_use(self):
+        tasks = tasks_for(small_sweep())
+        entry = run_pool(
+            tasks, arithmetic_cell, None, False, 2, lambda *args: None
         )
-        assert parse_hostfile(hf) == {"alpha": 4, "beta": 1, "gamma": 2}
+        assert entry["backend"] == "local-pool"
+        assert entry["dispatched"] == len(tasks)
+        assert entry["stolen"] == entry["reissued"] == entry["duplicates"] == 0
+        assert entry["wall_s"] >= 0
+        json.dumps(entry)  # the record must be JSON-encodable as is
 
-    def test_repeated_host_accumulates(self, tmp_path):
-        hf = tmp_path / "hosts"
-        hf.write_text("alpha 2\nalpha\n")
-        assert parse_hostfile(hf) == {"alpha": 3}
+    @pytest.mark.timeout(30)
+    def test_emit_error_propagates_and_cancels(self):
+        tasks = tasks_for(Sweep().axis("x", list(range(64))))
+        calls = []
 
-    def test_bad_count(self, tmp_path):
-        hf = tmp_path / "hosts"
-        hf.write_text("alpha lots\n")
-        with pytest.raises(SweepError, match="integer"):
-            parse_hostfile(hf)
+        def emit(index, cell_index, run):
+            calls.append(index)
+            raise KeyError("stop here")
 
-    def test_zero_count(self, tmp_path):
-        hf = tmp_path / "hosts"
-        hf.write_text("alpha 0\n")
-        with pytest.raises(SweepError, match=">= 1"):
-            parse_hostfile(hf)
+        with pytest.raises(KeyError, match="stop here"):
+            run_pool(tasks, arithmetic_cell, None, False, 2, emit)
+        assert len(calls) == 1
 
-    def test_empty(self, tmp_path):
-        hf = tmp_path / "hosts"
-        hf.write_text("# nothing\n")
-        with pytest.raises(SweepError, match="no hosts"):
-            parse_hostfile(hf)
+    def test_lost_runs_error_truncates_long_lists(self):
+        tasks = tasks_for(Sweep().axis("x", list(range(13))))
+        message = str(_lost_runs_error(tasks))
+        assert "13 runs did not finish" in message
+        assert message.count("  cell: ") == 10
+        assert "(+3 more)" in message
 
-    def test_ssh_requires_hosts(self):
-        with pytest.raises(SweepError, match="hosts"):
-            SshDispatch()
-
-
-class TestPortability:
-    def test_runner_path_roundtrip(self):
-        path = runner_path(arithmetic_cell)
-        assert worker_mod.resolve_callable(path) is arithmetic_cell
-
-    def test_runner_path_rejects_lambda(self):
-        with pytest.raises(SweepError, match="importable"):
-            runner_path(lambda p, s, c: {})
-
-    def test_runner_path_rejects_local_function(self):
-        def local_cell(params, seed, context):
-            return {}
-
-        with pytest.raises(SweepError, match="importable"):
-            runner_path(local_cell)
-
-    def test_context_spec_none_and_json(self):
-        assert context_spec(None) is None
-        assert context_spec({"a": 1}) == {"kind": "json", "data": {"a": 1}}
-
-    def test_context_spec_trace_recipe(self):
-        from repro.workload import portable_workload
-
-        trace = portable_workload("game", rounds=120)
-        spec = context_spec(trace)
-        assert spec == {
-            "kind": "workload", "name": "game", "params": {"rounds": 120}
-        }
-        rebuilt = worker_mod.build_context(spec)
-        assert rebuilt.cache_token() == trace.cache_token()
-
-    def test_context_spec_unportable_rejected(self):
-        from repro.registry import workloads
-
-        bare = workloads.create("game", rounds=120)  # no recipe stamped
-        with pytest.raises(SweepError, match="portable"):
-            context_spec(bare)
+    def test_lost_runs_error_names_each_run(self):
+        tasks = tasks_for(Sweep(seeds=2).axis("x", [4]))
+        error = _lost_runs_error(tasks)
+        assert isinstance(error, SweepError)
+        message = str(error)
+        assert "2 runs did not finish" in message and "more)" not in message
+        for _index, _cell, params, replicate, seed in tasks:
+            assert f"replicate {replicate} seed {seed}" in message
+        assert '"x": 4' in message
 
 
-class TestWorkerProtocol:
-    """Drive the worker loop in-process over text streams."""
-
-    def run_worker(self, frames):
-        stdin = io.StringIO(
-            "".join(json.dumps(f, sort_keys=True) + "\n" for f in frames)
-        )
-        stdout = io.StringIO()
-        # main() stamps WORKER_ENV in os.environ; running it in-process
-        # would leak the marker into the pytest process (and arm
-        # flaky_worker_cell in later tests), so restore it afterwards.
-        prev = os.environ.get(worker_mod.WORKER_ENV)
-        try:
-            code = worker_mod.main(stdin=stdin, stdout=stdout)
-            self.env_during = os.environ.get(worker_mod.WORKER_ENV)
-        finally:
-            if prev is None:
-                os.environ.pop(worker_mod.WORKER_ENV, None)
-            else:
-                os.environ[worker_mod.WORKER_ENV] = prev
-        lines = [json.loads(l) for l in stdout.getvalue().splitlines() if l]
-        return code, lines
-
-    def hello(self, runner="repro.sweep.cells:arithmetic_cell", **extra):
-        frame = {
-            "type": "hello",
-            "protocol": worker_mod.PROTOCOL,
-            "runner": runner,
-            "context": None,
-            "keep_results": False,
-        }
-        frame.update(extra)
-        return frame
-
-    def test_happy_path(self):
-        code, lines = self.run_worker([
-            self.hello(),
-            {"type": "job", "id": 5, "params": {"x": 1}, "replicate": 0,
-             "seed": 42},
-            {"type": "shutdown"},
-        ])
-        assert code == 0
-        assert lines[0]["type"] == "ready"
-        assert lines[0]["protocol"] == worker_mod.PROTOCOL
-        result = lines[1]
-        assert result["type"] == "result" and result["id"] == 5
-        assert result["run"] == {
-            "replicate": 0,
-            "seed": 42,
-            "metrics": arithmetic_cell({"x": 1}, 42, None),
-            "violations": [],
-            "result": None,
-        }
-
-    def test_result_matches_serial_execution_exactly(self):
-        params, seed = {"x": 3, "k": 7}, 987654321
-        _, lines = self.run_worker([
-            self.hello(),
-            {"type": "job", "id": 0, "params": params, "replicate": 1,
-             "seed": seed},
-            {"type": "shutdown"},
-        ])
-        from repro.sweep.executor import _execute
-
-        _, _, run = _execute(arithmetic_cell, None, (0, 0, params, 1, seed), False)
-        assert lines[1]["run"] == json.loads(json.dumps(run.to_dict()))
-
-    def test_error_frame_carries_cell_coordinates(self):
-        _, lines = self.run_worker([
-            self.hello(runner="repro.sweep.cells:failing_cell"),
-            {"type": "job", "id": 9,
-             "params": {"x": 2, "fail_at": 2}, "replicate": 0, "seed": 1},
-            {"type": "shutdown"},
-        ])
-        err = lines[1]
-        assert err["type"] == "error" and err["id"] == 9
-        assert err["params"] == {"x": 2, "fail_at": 2}
-        assert err["replicate"] == 0 and err["seed"] == 1
-        assert "designated failure" in err["error"]
-
-    def test_protocol_mismatch_is_fatal(self):
-        code, lines = self.run_worker([self.hello(protocol=99)])
-        assert code == 2
-        assert lines[0]["type"] == "fatal"
-        assert "protocol" in lines[0]["error"]
-
-    def test_job_before_hello_is_fatal(self):
-        code, lines = self.run_worker([
-            {"type": "job", "id": 0, "params": {}, "replicate": 0, "seed": 0}
-        ])
-        assert code == 2
-        assert lines[0]["type"] == "fatal"
-
-    def test_unknown_frame_is_fatal(self):
-        code, lines = self.run_worker([self.hello(), {"type": "dance"}])
-        assert code == 2
-        assert lines[-1]["type"] == "fatal"
-
-    def test_unresolvable_runner_is_fatal(self):
-        code, lines = self.run_worker([self.hello(runner="repro.nope:missing")])
-        assert code == 2
-        assert lines[0]["type"] == "fatal"
-
-    def test_worker_env_marker_set(self):
-        self.run_worker([self.hello(), {"type": "shutdown"}])
-        assert self.env_during == "1"
-        assert os.environ.get(worker_mod.WORKER_ENV) is None
-
-
-class TestDispatchDeterminism:
-    """serial == local-pool == subprocess == ssh, byte for byte."""
+class TestPoolDeterminism:
+    """serial == pool, byte for byte."""
 
     pytestmark = pytest.mark.slow
 
-    def test_all_paths_byte_identical(self, tmp_path):
-        sweep = small_sweep()
-        serial = run_sweep(sweep, arithmetic_cell).to_json()
-        pool = run_sweep(
-            sweep, arithmetic_cell, dispatch="local-pool", workers=2
-        ).to_json()
-        sub = run_sweep(
-            sweep, arithmetic_cell, dispatch="subprocess", workers=2
-        ).to_json()
-        ssh = run_sweep(
-            sweep,
-            arithmetic_cell,
-            dispatch=SshDispatch(
-                hosts={"localhost": 2},
-                ssh=make_ssh_shim(tmp_path),
-                python=sys.executable,
-            ),
-        ).to_json()
-        assert serial == pool == sub == ssh
-
-    def test_legacy_workers_path_unchanged(self):
-        # workers>=2 without dispatch= now routes through LocalPoolDispatch;
-        # output must equal the serial run exactly, as it always has.
+    def test_pool_matches_serial(self):
         sweep = small_sweep()
         assert (
             run_sweep(sweep, arithmetic_cell, workers=2).to_json()
             == run_sweep(sweep, arithmetic_cell).to_json()
         )
 
-    @pytest.mark.skipif(
-        not ssh_localhost_works(), reason="no passwordless ssh to localhost"
-    )
-    def test_real_ssh_to_localhost(self):
-        sweep = small_sweep()
-        serial = run_sweep(sweep, arithmetic_cell).to_json()
-        ssh = run_sweep(
-            sweep,
-            arithmetic_cell,
-            dispatch="ssh",
-            dispatch_params={
-                "hosts": {"localhost": 2}, "python": sys.executable
-            },
-        ).to_json()
-        assert ssh == serial
-
-    def test_json_context_travels(self, tmp_path):
+    def test_context_travels(self):
         sweep = small_sweep()
         ctx = {"offset": 2.5}
         serial = run_sweep(sweep, arithmetic_cell, context=ctx).to_json()
-        sub = run_sweep(
-            sweep, arithmetic_cell, context=ctx,
-            dispatch="subprocess", workers=2,
+        pool = run_sweep(
+            sweep, arithmetic_cell, context=ctx, workers=2
         ).to_json()
-        assert sub == serial
+        assert pool == serial
 
     def test_cold_with_cache_and_warm_byte_identical(self, tmp_path):
         sweep = small_sweep()
         plain = run_sweep(sweep, arithmetic_cell).to_json()
         cache = tmp_path / "cache"
         cold = run_sweep(
-            sweep, arithmetic_cell, dispatch="subprocess", workers=2,
-            cache=cache,
+            sweep, arithmetic_cell, workers=2, cache=cache
         ).to_json()
         warm = run_sweep(sweep, arithmetic_cell, cache=cache).to_json()
-        warm_dispatched = run_sweep(
-            sweep, arithmetic_cell, dispatch="subprocess", workers=2,
-            cache=cache,
+        warm_pooled = run_sweep(
+            sweep, arithmetic_cell, workers=2, cache=cache
         ).to_json()
-        assert plain == cold == warm == warm_dispatched
+        assert plain == cold == warm == warm_pooled
 
     def test_dispatch_stats_recorded_with_cache(self, tmp_path):
         cache = tmp_path / "cache"
-        backend = SubprocessDispatch(workers=2)
-        run_sweep(small_sweep(), arithmetic_cell, dispatch=backend, cache=cache)
+        run_sweep(small_sweep(), arithmetic_cell, workers=2, cache=cache)
         payload = load_dispatch_stats(cache)
         assert len(payload["runs"]) == 1
         entry = payload["runs"][0]
-        assert entry["backend"] == "subprocess"
-        assert entry["completed"] == 8
+        assert entry["backend"] == "local-pool" and entry["workers"] == 2
+        assert entry["dispatched"] == entry["completed"] == 8
+        assert entry["stolen"] == entry["reissued"] == entry["duplicates"] == 0
+        assert entry["chunksize"] == auto_chunksize(8, 2)
         assert entry["cells_total"] == 8 and entry["cells_cached"] == 0
-        assert set(entry["per_worker"]) == {"local/0", "local/1"}
 
-    def test_scenario_cells_over_subprocess(self):
+    def test_scenario_cells_over_pool(self):
         # Full-stack cells (kernel, protocol, invariant checks) through the
-        # frame protocol: the sharpest byte-identity probe we have.
+        # pool: the sharpest byte-identity probe we have.
         from repro.sweep import ScenarioSweep
 
         sweep = (
@@ -438,76 +259,125 @@ class TestDispatchDeterminism:
             )
             .axis("n", [3, 5])
         )
-        serial = sweep.run().to_json()
-        sub = sweep.run(dispatch="subprocess", workers=2).to_json()
-        assert sub == serial
+        assert sweep.run(workers=2).to_json() == sweep.run().to_json()
 
 
-class TestCrashRecovery:
+class TestPoolOptions:
+    """The executor's other options behave the same over the pool."""
+
     pytestmark = pytest.mark.slow
 
-    def test_killed_worker_requeues_and_output_identical(self, tmp_path):
-        marker = str(tmp_path / "killed")
-        sweep = Sweep(
-            base={"marker": marker, "victim": 3}, seeds=2
-        ).axis("x", [1, 2, 3, 4, 5, 6])
-        serial = run_sweep(sweep, flaky_worker_cell).to_json()
-        assert not os.path.exists(marker)  # serial runs never trigger it
+    def test_progress_is_called_in_the_parent_per_run(self):
+        calls = []
+        run_sweep(
+            small_sweep(),
+            arithmetic_cell,
+            workers=2,
+            progress=lambda done, total, run: calls.append(
+                (done, total, os.getpid())
+            ),
+        )
+        assert [done for done, _t, _p in calls] == list(range(1, 9))
+        assert {total for _d, total, _p in calls} == {8}
+        assert {pid for _d, _t, pid in calls} == {os.getpid()}
 
-        # max_copies=1 disables stealing, so the crashed worker's cells
-        # (the victim itself, at minimum) can only come back via requeue —
-        # otherwise a fast survivor can steal them first and hide the crash.
-        backend = SubprocessDispatch(workers=2, max_copies=1)
-        dispatched = run_sweep(
-            sweep, flaky_worker_cell, dispatch=backend
-        ).to_json()
-        assert dispatched == serial
-        assert os.path.exists(marker)  # exactly one worker died
-        assert backend.stats.reissued >= 1
-        assert sum(
-            1 for w in backend.stats.per_worker.values() if w["crashed"]
-        ) == 1
+    def test_collected_violations_match_serial(self):
+        sweep = small_sweep()
+        serial = run_sweep(sweep, violates_on_even, on_violation="collect")
+        pooled = run_sweep(
+            sweep, violates_on_even, on_violation="collect", workers=2
+        )
+        assert not pooled.ok
+        assert pooled.to_json() == serial.to_json()
 
-    def test_all_workers_dead_raises(self):
-        # A worker command that exits immediately: no results, clear error.
-        backend = SubprocessDispatch(workers=2, python="/bin/false")
-        with pytest.raises(DispatchError, match="workers exited"):
-            run_sweep(small_sweep(), arithmetic_cell, dispatch=backend)
+    def test_raised_violation_names_the_cell(self):
+        with pytest.raises(SweepInvariantError, match="synthetic violation"):
+            run_sweep(small_sweep(), violates_on_even, workers=2)
 
+    def test_prepare_worker_runs_in_every_pool_process(self):
+        result = Sweep().axis("x", list(range(8))).run(
+            prepared_here, workers=2, context=PidContext()
+        )
+        assert all(
+            run.metrics["prepared"] == 1.0
+            for cell in result.cells
+            for run in cell.runs
+        )
+
+    def test_more_workers_than_runs(self):
+        sweep = Sweep(base={"k": 1}).axis("x", [1, 2])
+        assert (
+            run_sweep(sweep, arithmetic_cell, workers=4).to_json()
+            == run_sweep(sweep, arithmetic_cell).to_json()
+        )
+
+    @pytest.mark.parametrize("workers", [0, 1, None])
+    def test_serial_runs_leave_no_trail_record(self, tmp_path, workers):
+        cache = tmp_path / "cache"
+        run_sweep(small_sweep(), arithmetic_cell, workers=workers, cache=cache)
+        assert load_dispatch_stats(cache)["runs"] == []
+
+    def test_partly_warm_cache_sends_only_misses_to_the_pool(self, tmp_path):
+        cache = tmp_path / "cache"
+        half = Sweep(base={"k": 7}, seeds=2).axis("x", [1, 2])
+        run_sweep(half, arithmetic_cell, cache=cache)
+        pooled = run_sweep(small_sweep(), arithmetic_cell, workers=2, cache=cache)
+        assert pooled.to_json() == run_sweep(small_sweep(), arithmetic_cell).to_json()
+        (entry,) = load_dispatch_stats(cache)["runs"]
+        assert entry["cells_total"] == 8 and entry["cells_cached"] == 4
+        assert entry["dispatched"] == entry["completed"] == 4
+
+    def test_fully_warm_pooled_run_starts_no_pool(self, tmp_path):
+        cache = tmp_path / "cache"
+        run_sweep(small_sweep(), arithmetic_cell, workers=2, cache=cache)
+        run_sweep(small_sweep(), arithmetic_cell, workers=2, cache=cache)
+        assert len(load_dispatch_stats(cache)["runs"]) == 1
+
+
+class TestPoolFailures:
     def test_cell_error_propagates_from_worker(self):
         sweep = Sweep(base={"fail_at": 3}, seeds=1).axis("x", [1, 2, 3, 4])
         with pytest.raises(SweepCellError, match="designated failure") as info:
-            run_sweep(sweep, failing_cell, dispatch="subprocess", workers=2)
+            run_sweep(sweep, failing_cell, workers=2)
         assert info.value.params == {"fail_at": 3, "x": 3}
         assert info.value.replicate == 0
 
+    @pytest.mark.timeout(30)
+    def test_dead_worker_fails_the_sweep(self, tmp_path):
+        # Regression: multiprocessing.Pool lost the dead worker's task and
+        # the sweep waited for it forever.
+        sweep = Sweep().axis("x", list(range(8)))
+        started = time.perf_counter()
+        with pytest.raises(SweepError, match="worker process died") as info:
+            sweep.run(dies_on_x3, workers=2, cache=tmp_path / "cache")
+        assert time.perf_counter() - started < 20
+        assert '"x": 3' in str(info.value)  # the killer is among the named
+        # A failed pool leaves no trail record.
+        assert load_dispatch_stats(tmp_path / "cache")["runs"] == []
 
-class TestStragglers:
-    pytestmark = pytest.mark.slow
+    @pytest.mark.timeout(30)
+    def test_dead_worker_without_cache(self):
+        with pytest.raises(SweepError, match="worker process died"):
+            Sweep().axis("x", list(range(8))).run(dies_on_x3, workers=2)
 
-    def test_tail_cells_stolen_and_deduped(self):
-        # The first cell sleeps; nine instant cells follow.  With two
-        # workers the idle one must steal the sleeper's queue, and the
-        # late duplicates must be discarded first-result-wins.
-        sweep = Sweep(base={"x": 1}, seeds=1).axis(
-            "sleep_s", [0.8] + [0.0] * 9
-        )
-        serial = run_sweep(sweep, sleepy_cell).to_json()
-        backend = SubprocessDispatch(workers=2)
-        out = run_sweep(sweep, sleepy_cell, dispatch=backend).to_json()
-        assert out == serial
-        assert backend.stats.stolen >= 1
-        assert backend.stats.dispatched >= backend.stats.completed
-        assert backend.stats.completed == 10
-
-    def test_window_adapts_to_fast_cells(self):
-        sweep = Sweep(base={}, seeds=1).axis("x", list(range(40)))
-        backend = SubprocessDispatch(workers=1)
-        run_sweep(sweep, arithmetic_cell, dispatch=backend)
-        # Micro-cells: the in-flight window must have opened well past the
-        # initial 2 (bounded by max_window).
-        assert backend.stats.window > 2
-        assert backend.stats.window <= backend.max_window
+    @pytest.mark.timeout(60)
+    def test_rerun_after_dead_worker_completes_from_cache(
+        self, tmp_path, monkeypatch
+    ):
+        switch = tmp_path / "armed"
+        switch.write_text("")
+        monkeypatch.setenv(KILL_SWITCH_ENV, str(switch))
+        cache = tmp_path / "cache"
+        sweep = Sweep().axis("x", list(range(8)))
+        with pytest.raises(SweepError, match="worker process died"):
+            sweep.run(dies_if_armed, workers=2, cache=cache)
+        switch.unlink()
+        rerun = sweep.run(dies_if_armed, workers=2, cache=cache)
+        assert rerun.to_json() == sweep.run(dies_if_armed).to_json()
+        (entry,) = load_dispatch_stats(cache)["runs"]
+        # Whatever finished before the crash is served by the cache.
+        assert entry["cells_cached"] + entry["dispatched"] == 8
+        assert entry["dispatched"] >= 1  # the killer's run, at least
 
 
 class TestDispatchStatsTrail:
@@ -528,19 +398,15 @@ class TestDispatchStatsTrail:
         from repro.sweep.cli import main as cli_main
 
         cache_dir = str(tmp_path / "cache")
-        run_sweep(
-            small_sweep(), arithmetic_cell, cache=cache_dir,
-            dispatch="subprocess", dispatch_params={"workers": 2},
-        )
+        run_sweep(small_sweep(), arithmetic_cell, cache=cache_dir, workers=2)
         assert cli_main(["stats", cache_dir]) == 0
         out = capsys.readouterr().out
-        assert "dispatch:" in out and "subprocess" in out
-        assert "local/0" in out  # per-worker timing of the last run
+        assert "dispatch:" in out and "local-pool" in out
 
         assert cli_main(["stats", cache_dir, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        agg = payload["dispatch"]["by_backend"]["subprocess"]
-        assert agg["runs"] == 1 and agg["dispatched"] >= 8
+        agg = payload["dispatch"]["by_backend"]["local-pool"]
+        assert agg["runs"] == 1 and agg["dispatched"] == 8
         assert payload["dispatch"]["last"]["cells_total"] == 8
 
     def test_cli_stats_without_dispatch_trail(self, tmp_path, capsys):
