@@ -1,9 +1,10 @@
 #!/usr/bin/env python
 """Regenerate every table and figure of the paper's evaluation section.
 
-This is the one-shot driver behind EXPERIMENTS.md: it prints, for each of
+This is the one-shot driver of the evaluation: it prints, for each of
 the paper's tables/figures plus our ablations, the rows a plotting tool
-would consume.  Expect a few minutes of wall-clock time (the Figure 5
+would consume (``tests/analysis/test_paper_claims.py`` asserts the
+paper's claims on the same rows).  Expect a few minutes of wall-clock time (the Figure 5
 sweeps bisect threshold rates across seven buffer sizes at full trace
 length).
 

@@ -3,7 +3,8 @@
 One entry point per table/figure of the paper's evaluation (Section 5).
 Each function returns structured rows and can print them in the shape the
 paper reports, with the paper's own numbers alongside for comparison.
-``EXPERIMENTS.md`` at the repository root records a full run.
+``examples/reproduce_figures.py`` runs them all; the paper's shape claims
+are asserted at full trace length in ``tests/analysis/test_paper_claims.py``.
 
 All experiments run on the calibrated synthetic game trace (see
 :mod:`repro.workload.game` for the substitution rationale), resolved

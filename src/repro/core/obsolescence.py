@@ -30,9 +30,9 @@ buffer size — avoids it only while the window really spans the backlog.  It
 is observable: the loaded view change of :mod:`repro.analysis.viewchange`
 runs k=64 against a slow member's backlog of hundreds of messages, and the
 executable specification catches the broken chain there
-(``tests/analysis/test_viewchange.py`` pins the violations).  The ablation
-benchmark ``benchmarks/test_bench_ablation_k.py`` quantifies the throughput
-side.
+(``tests/analysis/test_viewchange.py`` pins the violations).  The
+``ablation_k`` experiment quantifies the throughput side
+(``tests/analysis/test_paper_claims.py`` asserts its shape).
 """
 
 from __future__ import annotations

@@ -4,12 +4,11 @@ A :class:`FaultPlan` is an ordered collection of fault and membership
 events — :class:`Crash`, :class:`Recover`, :class:`Partition`,
 :class:`Heal`, :class:`LinkFault`, :class:`Perturb`, :class:`ViewChange` —
 that is validated up front and installed onto a
-:class:`~repro.gcs.stack.GroupStack` in one call.  It subsumes the legacy
-:class:`~repro.sim.failure.CrashSchedule` and
-:class:`~repro.sim.failure.PerturbationSchedule` (perturbations still run
-through the latter's reference-counted pause/resume machinery) and adds
-the environment misbehaviour the paper argues about but the repo could not
-previously model: symmetric network partitions, per-edge probabilistic
+:class:`~repro.gcs.stack.GroupStack` in one call.  Perturbations run
+through :class:`~repro.sim.failure.PerturbationSchedule`'s
+reference-counted pause/resume machinery.  Beyond crashes and stalls, a
+plan models the environment misbehaviour the paper argues about:
+symmetric network partitions, per-edge probabilistic
 loss/duplication/reordering, and crash-recover churn with state transfer.
 
 Determinism contract
@@ -451,9 +450,9 @@ class FaultPlan:
         self._installed = True
         sim = stack.sim
 
-        # Perturbations first, grouped per pid through the legacy
-        # reference-counted schedule — byte-identical scheduling to the
-        # pre-FaultPlan Scenario wiring.
+        # Perturbations first, grouped per pid through the
+        # reference-counted PerturbationSchedule — byte-identical
+        # scheduling to the pre-FaultPlan Scenario wiring.
         by_pid: Dict[int, List[Perturbation]] = {}
         for event in self.events:
             if isinstance(event, Perturb):

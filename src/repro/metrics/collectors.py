@@ -1,4 +1,4 @@
-"""Measurement primitives used by experiments and benchmarks.
+"""Measurement primitives used by trace analysis and scenario metrics.
 
 All collectors take explicit timestamps (simulated time) rather than
 reading a clock, so they work identically under the discrete-event

@@ -10,7 +10,7 @@ reported on:
   ``metrics``) — a fault run is exactly this shape, with its violations
   and fault config along for the ride;
 * anything else JSON — reported as a flat key/value table so ad-hoc
-  artefacts (``BENCH_*.json``) still render.
+  artefacts (a ``bench`` ledger run, say) still render.
 
 Cache directories contribute the volatile observability sections from
 ``cache-stats.json`` and ``dispatch-stats.json``.

@@ -54,15 +54,12 @@ from repro.scenario.result import (
     serialize_entry,
     serialize_histories,
 )
-from repro.scenario.sharding import ShardedResult, run_sharded
 
 __all__ = [
     "Scenario",
     "LiveScenario",
     "ScenarioError",
     "ScenarioResult",
-    "ShardedResult",
-    "run_sharded",
     "KNOWN_METRICS",
     "SCHEMA_VERSION",
     "serialize_entry",

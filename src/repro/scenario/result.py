@@ -4,8 +4,7 @@
 the run's configuration, every collected metric, the per-process delivery
 histories (in a compact serializable shape) and the verdicts of the
 executable specification.  ``to_json``/``from_json`` round-trip losslessly,
-so results can be written next to ``BENCH_*.json`` artefacts and diffed
-across runs.
+so results can be archived as plain files and diffed across runs.
 
 Histories are serialized down to message *identities* (sender, sequence
 number, view) rather than payloads — payloads may be arbitrary application

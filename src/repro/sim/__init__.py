@@ -4,9 +4,8 @@ Everything in the reproduction executes on this substrate: a deterministic
 event-driven :class:`~repro.sim.kernel.Simulator`, crash-stop
 :class:`~repro.sim.process.SimProcess` participants, a reliable-FIFO
 :class:`~repro.sim.network.Network` with an optional lossy/partitionable
-link layer, and the legacy fault/perturbation schedules in
-:mod:`repro.sim.failure` (superseded by the declarative plans of
-:mod:`repro.faults`).
+link layer, and the perturbation windows of :mod:`repro.sim.failure` that
+the declarative plans of :mod:`repro.faults` install.
 """
 
 from repro.sim.kernel import Event, EventHandle, SimulationError, Simulator
@@ -19,13 +18,7 @@ from repro.sim.network import (
     UniformLatency,
 )
 from repro.sim.process import ProcessId, ProcessRegistry, SimProcess
-from repro.sim.failure import (
-    CrashSchedule,
-    Perturbation,
-    PerturbationSchedule,
-    ScheduleError,
-    periodic_perturbations,
-)
+from repro.sim.failure import Perturbation, PerturbationSchedule, ScheduleError
 
 __all__ = [
     "Simulator",
@@ -41,9 +34,7 @@ __all__ = [
     "SimProcess",
     "ProcessRegistry",
     "LinkFaultPolicy",
-    "CrashSchedule",
     "Perturbation",
     "PerturbationSchedule",
     "ScheduleError",
-    "periodic_perturbations",
 ]

@@ -1,59 +1,49 @@
-"""Fault and perturbation injection (legacy schedules).
+"""Perturbation windows and the validation shared by fault schedules.
 
-The paper distinguishes two phenomena:
+The paper's *performance perturbations* — a process (or its disk,
+scheduler, VM subsystem, ...) transiently slows down or stalls *without*
+being faulty (Sections 1-2) — are the phenomenon SVS is designed to
+absorb.  :class:`PerturbationSchedule` injects them by pausing/resuming a
+*rate-limited consumer* (anything exposing ``pause()``/``resume()``),
+driven off the simulator so experiments are reproducible.
 
-* **crash-stop failures** — a process halts permanently (Section 3.1); and
-* **performance perturbations** — a process (or its disk, scheduler, VM
-  subsystem, ...) transiently slows down or stalls *without* being faulty
-  (Sections 1-2).  These are the phenomenon SVS is designed to absorb.
-
-:class:`CrashSchedule` injects the former; :class:`PerturbationSchedule`
-injects the latter by pausing/resuming a *rate-limited consumer* (anything
-exposing ``pause()``/``resume()``).  Both are driven off the simulator so
-experiments are reproducible.
-
-.. deprecated::
-    These two classes predate :class:`repro.faults.FaultPlan`, which
-    expresses the same events (plus partitions, lossy links, rejoin churn)
-    declaratively, validates them up front and is sweepable.  They are kept
-    working — :class:`~repro.faults.FaultPlan` installs perturbations
-    through :class:`PerturbationSchedule`'s reference-counted pause/resume
-    machinery — but new code should build a fault plan instead.
+Build schedules with :class:`repro.faults.FaultPlan`, which installs its
+:class:`~repro.faults.Perturb` events through this reference-counted
+pause/resume machinery and also expresses crashes, partitions, lossy
+links and rejoin churn.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Protocol, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Protocol, Sequence
 
 from repro.sim.kernel import Simulator
-from repro.sim.process import SimProcess
 
 __all__ = [
     "Pausable",
     "ScheduleError",
     "check_time",
     "check_positive",
-    "CrashSchedule",
     "Perturbation",
     "PerturbationSchedule",
 ]
 
 
 class ScheduleError(ValueError, RuntimeError):
-    """An invalid fault schedule: bad times, unknown targets, double install.
+    """An invalid perturbation schedule: bad times or a double install.
 
     Subclasses both :class:`ValueError` (the documented contract shared
     with :class:`repro.faults.FaultPlan`) and :class:`RuntimeError` (what
-    the original double-``install()`` raised), so historical ``except``
-    clauses keep working.
+    a double ``install()`` originally raised), so either ``except`` clause
+    catches it.
     """
 
 
 def check_time(value: float, what: str, exc: type = ScheduleError) -> None:
     """Reject anything but a finite non-negative number (NaN fails the
-    ``>= 0`` comparison).  Shared by the legacy schedules and
+    ``>= 0`` comparison).  Shared by :class:`PerturbationSchedule` and
     :mod:`repro.faults` so the two validation surfaces cannot diverge."""
     if not isinstance(value, (int, float)) or not (value >= 0):
         raise exc(f"{what} must be a non-negative number: {value!r}")
@@ -79,34 +69,6 @@ class Pausable(Protocol):
     def pause(self) -> None: ...
 
     def resume(self) -> None: ...
-
-
-@dataclass
-class CrashSchedule:
-    """Crash given processes at given simulated times.
-
-    ``crashes`` is a sequence of ``(time, process)`` pairs.  Call
-    :meth:`install` once after constructing the processes; the schedule
-    validates itself there (negative/NaN times, non-process targets and
-    double installation all raise :class:`ScheduleError`).
-    """
-
-    sim: Simulator
-    crashes: Sequence[Tuple[float, SimProcess]]
-    installed: bool = field(default=False, init=False)
-
-    def install(self) -> None:
-        if self.installed:
-            raise ScheduleError("crash schedule already installed")
-        for time, proc in self.crashes:
-            check_time(time, "crash time")
-            if not callable(getattr(proc, "crash", None)):
-                raise ScheduleError(
-                    f"crash target has no crash() method: {proc!r}"
-                )
-        self.installed = True
-        for time, proc in self.crashes:
-            self.sim.schedule_at(time, proc.crash)
 
 
 @dataclass(frozen=True)
@@ -166,21 +128,3 @@ class PerturbationSchedule:
         """Total stalled duration assuming no overlap (diagnostic)."""
         return sum(p.duration for p in self.perturbations)
 
-
-def periodic_perturbations(
-    first_start: float,
-    duration: float,
-    period: float,
-    count: int,
-) -> List[Perturbation]:
-    """Build ``count`` equally spaced stalls of equal ``duration``.
-
-    Convenience used by the throughput experiments: the paper studies "a
-    receiver that completely stops to process messages" for a bounded window
-    (Figure 5(b)); sweeping ``duration`` finds the tolerance limit.
-    """
-    if period <= 0 or count < 0:
-        raise ValueError("period must be positive and count non-negative")
-    return [
-        Perturbation(first_start + i * period, duration) for i in range(count)
-    ]

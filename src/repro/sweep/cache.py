@@ -109,7 +109,7 @@ def runner_token(runner: Callable[..., Any]) -> str:
 
     ``module:qualname`` for runners inside the :mod:`repro` package
     (their source is already covered by :func:`code_fingerprint`); for
-    runners defined elsewhere (examples, benchmarks, tests) the token
+    runners defined elsewhere (examples, tests) the token
     additionally hashes the defining file, so editing an external runner
     invalidates its cells just like editing the package would.
     """

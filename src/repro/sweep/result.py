@@ -5,8 +5,8 @@ one level up: where a scenario result captures one run, a sweep result
 captures a whole grid — per-cell parameter coordinates, every replicate's
 flattened scalar metrics (plus any invariant violations), and mean /
 standard deviation / 95 % confidence interval per metric.  ``to_json`` /
-``from_json`` round-trip losslessly so sweeps can be archived next to
-``BENCH_*.json`` artefacts and diffed across refactors.
+``from_json`` round-trip losslessly so sweeps can be archived as plain
+files and diffed across refactors.
 """
 
 from __future__ import annotations

@@ -1,5 +1,7 @@
 """Tests for the per-figure experiment harness (shapes and qualitative
-properties; the full-scale run is in benchmarks/ and EXPERIMENTS.md)."""
+properties on short traces; the paper-scale claims are in
+``tests/analysis/test_paper_claims.py`` and ``examples/reproduce_figures.py``
+prints the full run)."""
 
 import pytest
 

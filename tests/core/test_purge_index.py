@@ -27,6 +27,7 @@ from repro.core.buffers import DeliveryQueue
 from repro.core.message import DataMessage, MessageId, View, ViewDelivery
 from repro.core.obsolescence import (
     EnumerationEncoder,
+    KEnumeration,
     KEnumerationEncoder,
 )
 from repro.registry import relations as relation_registry
@@ -228,3 +229,45 @@ class TestAdversarialAnnotations:
             annotation=frozenset({MessageId(0, 5), MessageId(1, 0)}),
         )
         assert indexed.purge_by(probe) == naive.purge_by(probe) == [other]
+
+
+class _CountingKEnumeration(KEnumeration):
+    def __init__(self, k):
+        super().__init__(k)
+        self.calls = 0
+
+    def obsoletes(self, new, old):
+        self.calls += 1
+        return super().obsoletes(new, old)
+
+
+def _pump(queue, n=3000):
+    """A steady same-sender stream where each message obsoletes its
+    predecessor — the throughput model's shape in miniature."""
+    for sn in range(n):
+        msg = DataMessage(MessageId(0, sn), view_id=0, annotation=0b1 if sn else 0)
+        queue.try_append(msg)
+        if sn % 3 == 2:
+            queue.pop()
+
+
+class TestIndexDoesLessWork:
+    def test_indexed_purge_skips_linear_scans(self):
+        """The index must cut relation calls by an order of magnitude
+        (the naive path is O(queue) per message)."""
+        naive_relation = _CountingKEnumeration(8)
+        naive = DeliveryQueue(naive_relation, capacity=16, use_index=False)
+        _pump(naive)
+
+        indexed_relation = _CountingKEnumeration(8)
+        indexed = DeliveryQueue(indexed_relation, capacity=16, use_index=True)
+        _pump(indexed)
+
+        # Identical externally visible behaviour...
+        assert indexed.stats.purged == naive.stats.purged > 0
+        assert len(indexed) == len(naive)
+        # ...with at least 10x fewer relation interrogations.  The index
+        # answers from per-sender maps, so it never calls ``obsoletes``
+        # at all; the bound is loose on purpose.
+        assert naive_relation.calls > 0
+        assert indexed_relation.calls * 10 <= naive_relation.calls

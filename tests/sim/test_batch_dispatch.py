@@ -18,7 +18,10 @@ modes are nameable:
   per-destination loop at t=0, i.e. the one-event fan-out, its deferred
   stats fold, the one-way latch and its FIFO-clamp backfill lose nothing;
 * **per-edge RNG streams** — delivery times do not depend on the latency
-  refill size, on either path.
+  refill size, on either path;
+* **the stress shape at n=200** — both paths agree on every counter and
+  every purge resolves through the obsolescence index, with zero linear
+  relation calls.
 
 The shared-stream contract between the simulated and wall-clock
 substrates (``rng(name)``) is pinned here too.
@@ -30,9 +33,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.obsolescence import ItemTagging
 from repro.sim.kernel import EventHandle, Simulator, derive_stream_seed
 from repro.sim.network import ConstantLatency, Network, UniformLatency
 from repro.sim.process import SimProcess
+from tests.integration.test_stress import run_stress
 
 
 class HeapReference:
@@ -459,3 +464,57 @@ class TestBatchedLatencyDraws:
         assert reference["delivered"] == 1500 + 2 * 215
         for batch in (1, 1024):
             assert _drain_network(batch, latched=False) == reference
+
+
+class _CountingItemTagging(ItemTagging):
+    """ItemTagging that counts linear relation interrogations.
+
+    ``make_index`` is inherited, so the queue still gets the real tag
+    index — the counters see exactly the calls the index fails to absorb.
+    """
+
+    def __init__(self):
+        self.obsoletes_calls = 0
+        self.covers_calls = 0
+
+    def obsoletes(self, new, old):
+        self.obsoletes_calls += 1
+        return super().obsoletes(new, old)
+
+    def covers(self, new, old):
+        self.covers_calls += 1
+        return super().covers(new, old)
+
+
+def _stack_counters(stack):
+    net = stack.network
+    return {
+        "sent": net.messages_sent,
+        "delivered": net.messages_delivered,
+        "dropped": net.messages_dropped,
+        "events": stack.sim.events_processed > 0,
+        "appended": [p.to_deliver.stats.appended for p in stack],
+        "purged": [p.to_deliver.stats.purged for p in stack],
+        "popped": [p.to_deliver.stats.popped for p in stack],
+    }
+
+
+class TestStressShapeRelationWork:
+    """The broadcast-storm shape at n=200 on both network paths."""
+
+    def test_zero_linear_relation_calls_and_path_agreement(self):
+        results = {}
+        for latched in (False, True):
+            relation = _CountingItemTagging()
+            stack = run_stress(
+                n=200, senders=200, rounds=2, relation=relation, latched=latched
+            )
+            assert stack.network._batched is not latched
+            # All purging resolved by per-(sender, tag) index buckets;
+            # same-sender FIFO lets t3 skip the coverage scan entirely.
+            assert relation.obsoletes_calls == 0, latched
+            assert relation.covers_calls == 0, latched
+            results[latched] = _stack_counters(stack)
+        # Both paths tell the identical story, counter for counter.
+        assert results[False] == results[True]
+        assert results[False]["sent"] == 200 * 2 * 199

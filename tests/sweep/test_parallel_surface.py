@@ -3,9 +3,8 @@
 A sweep picks its parallelism with one option, ``workers``; the pool is
 the only parallel path.  These tests pin that surface at every entry
 point that forwards to :func:`repro.sweep.run_sweep` — the executor,
-``Sweep.run``/``ScenarioSweep.run``, the figure functions, sharded
-scenarios — so a second way to choose an executor cannot creep back in
-unnoticed.
+``Sweep.run``/``ScenarioSweep.run`` and the figure functions — so a
+second way to choose an executor cannot creep back in unnoticed.
 """
 
 import dataclasses
@@ -16,7 +15,6 @@ import pytest
 import repro.analysis.experiments as experiments
 import repro.registry as registry
 import repro.sweep as sweep_pkg
-from repro.scenario.sharding import run_sharded
 from repro.sweep import ScenarioSweep, Sweep, run_sweep
 from repro.sweep.cells import arithmetic_cell
 from repro.workload import Trace, portable_workload
@@ -87,10 +85,13 @@ class TestForwardingEntryPoints:
         assert "cache" in params
         assert not [knob for knob in GONE if knob in params]
 
-    def test_run_sharded_forwards_workers_only(self):
-        params = inspect.signature(run_sharded).parameters
-        assert "workers" in params
-        assert not [knob for knob in GONE if knob in params]
+    def test_no_sharded_entry_point(self):
+        """Sharded scenarios were a second caller of the pool; they are gone."""
+        import repro.scenario as scenario_pkg
+
+        with pytest.raises(ImportError):
+            import repro.scenario.sharding  # noqa: F401
+        assert not {"run_sharded", "ShardedResult"} & set(dir(scenario_pkg))
 
 
 class TestNoBackendSeam:
