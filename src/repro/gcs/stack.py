@@ -131,9 +131,11 @@ class GroupStack:
 
     ``sim`` and ``network`` inject an alternative substrate — a
     :class:`~repro.transport.clock.WallClock` plus a
-    :class:`~repro.transport.network.TransportNetwork` for live runs; both
-    duck-type the simulated originals, so the assembly below (and the
-    protocol it assembles) is one code path for both worlds.  ``pids``
+    :class:`~repro.transport.network.TransportNetwork` for live runs.  The
+    clock duck-types the simulator; the network shares its topology and
+    fault model with the simulated one through
+    :class:`~repro.sim.network.NetworkBase`.  So the assembly below (and
+    the protocol it assembles) is one code path for both worlds.  ``pids``
     restricts which members this stack hosts locally (default: all of
     ``range(n)``); a live UDP deployment builds one single-pid stack per
     OS process.  Partial hosting needs per-process backends —

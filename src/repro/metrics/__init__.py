@@ -1,19 +1,5 @@
-"""Metrics: counters, time-weighted statistics, histograms."""
+"""Metrics: time-weighted statistics and histograms."""
 
-from repro.metrics.collectors import (
-    BusyTracker,
-    Counter,
-    Histogram,
-    SummaryStats,
-    TimeWeightedStat,
-    summarize,
-)
+from repro.metrics.collectors import Histogram, TimeWeightedStat
 
-__all__ = [
-    "Counter",
-    "TimeWeightedStat",
-    "BusyTracker",
-    "Histogram",
-    "SummaryStats",
-    "summarize",
-]
+__all__ = ["TimeWeightedStat", "Histogram"]

@@ -7,40 +7,10 @@ simulator and in offline trace analysis.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
-__all__ = [
-    "Counter",
-    "TimeWeightedStat",
-    "BusyTracker",
-    "Histogram",
-    "SummaryStats",
-    "summarize",
-]
-
-
-class Counter:
-    """A named monotonically increasing counter."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str = "") -> None:
-        self.name = name
-        self.value = 0
-
-    def increment(self, amount: int = 1) -> None:
-        if amount < 0:
-            raise ValueError("counters only increase")
-        self.value += amount
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Counter({self.name!r}, {self.value})"
+__all__ = ["TimeWeightedStat", "Histogram"]
 
 
 class TimeWeightedStat:
@@ -88,55 +58,6 @@ class TimeWeightedStat:
         if self._elapsed == 0:
             return self._value
         return self._weighted_sum / self._elapsed
-
-
-class BusyTracker:
-    """Tracks the fraction of time an actor spends in a given state.
-
-    The throughput experiments use one of these per producer to measure
-    *blocked* (flow-controlled) time — Figure 4(a)'s "producer idle %" is
-    ``1 -`` blocked fraction presented from the producer's perspective; see
-    :mod:`repro.analysis.throughput` for the exact mapping.
-    """
-
-    __slots__ = ("_start", "_busy_since", "total_busy", "intervals")
-
-    def __init__(self, start_time: float = 0.0) -> None:
-        self._start = start_time
-        self._busy_since: Optional[float] = None
-        self.total_busy = 0.0
-        self.intervals: List[Tuple[float, float]] = []
-
-    @property
-    def busy(self) -> bool:
-        return self._busy_since is not None
-
-    def enter(self, time: float) -> None:
-        if self._busy_since is None:
-            self._busy_since = time
-
-    def leave(self, time: float) -> None:
-        if self._busy_since is None:
-            return
-        if time < self._busy_since:
-            raise ValueError("interval ends before it starts")
-        self.total_busy += time - self._busy_since
-        self.intervals.append((self._busy_since, time))
-        self._busy_since = None
-
-    def finish(self, time: float) -> None:
-        if self._busy_since is not None:
-            self.leave(time)
-            self._busy_since = None
-
-    def fraction(self, end_time: float) -> float:
-        elapsed = end_time - self._start
-        if elapsed <= 0:
-            return 0.0
-        pending = 0.0
-        if self._busy_since is not None:
-            pending = max(0.0, end_time - self._busy_since)
-        return (self.total_busy + pending) / elapsed
 
 
 class Histogram:
@@ -205,24 +126,3 @@ class Histogram:
             if seen >= need:
                 return value
         return self.items()[-1][0]
-
-
-@dataclass(frozen=True)
-class SummaryStats:
-    """Five-number summary of a sample."""
-
-    count: int
-    mean: float
-    stdev: float
-    minimum: float
-    maximum: float
-
-
-def summarize(sample: Sequence[float]) -> SummaryStats:
-    """Compute a :class:`SummaryStats` (population stdev; 0 for n<2)."""
-    n = len(sample)
-    if n == 0:
-        return SummaryStats(0, 0.0, 0.0, 0.0, 0.0)
-    mean = sum(sample) / n
-    var = sum((x - mean) ** 2 for x in sample) / n if n > 1 else 0.0
-    return SummaryStats(n, mean, math.sqrt(var), min(sample), max(sample))

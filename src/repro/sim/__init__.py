@@ -17,7 +17,7 @@ from repro.sim.network import (
     Network,
     UniformLatency,
 )
-from repro.sim.process import ProcessId, ProcessRegistry, SimProcess
+from repro.sim.process import ProcessId, SimProcess
 from repro.sim.failure import Perturbation, PerturbationSchedule, ScheduleError
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "LognormalLatency",
     "ProcessId",
     "SimProcess",
-    "ProcessRegistry",
     "LinkFaultPolicy",
     "Perturbation",
     "PerturbationSchedule",

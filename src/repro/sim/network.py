@@ -30,6 +30,10 @@ per-destination loop for good.
 A receiver may open a :class:`DeferredLane` on a channel to have reliable
 arrivals sent with ``defer=True`` recorded instead of scheduled (see
 "Deferred arrivals" in ``docs/kernel.md``).
+
+The topology and the fault model live in :class:`NetworkBase`, which the
+live :class:`~repro.transport.network.TransportNetwork` shares, so a cut,
+a partition or a link-fault policy means the same in both.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ __all__ = [
     "UniformLatency",
     "LognormalLatency",
     "LinkFaultPolicy",
+    "NetworkBase",
     "Network",
     "ChannelStats",
     "DeferredLane",
@@ -332,7 +337,151 @@ class _FanoutGroup:
         self.epoch = epoch
 
 
-class Network:
+class NetworkBase:
+    """The topology and fault model every network shares.
+
+    Holds the attached processes, the message counters (each subclass
+    counts deliveries its own way), the cut set and the link-fault
+    policies.  :class:`Network` moves messages as kernel events and
+    :class:`~repro.transport.network.TransportNetwork` as framed
+    datagrams; both consult the fault state through
+    :meth:`_resolve_policy` and :meth:`_fault_rng`, so a fault profile
+    written for simulation applies to a live run unmodified.
+    """
+
+    def __init__(self, sim: Any) -> None:
+        self.sim = sim
+        self._procs: Dict[ProcessId, SimProcess] = {}
+        self._stats: Dict[Tuple[ProcessId, ProcessId], ChannelStats] = {}
+        # Fault state (all empty by default = reliable channels).  Link-fault
+        # policies are keyed by (src|None, dst|None); the per-channel
+        # resolution is cached until a policy changes.  Fault draws come
+        # from per-edge "faults.<src>.<dst>" RNG streams.
+        self._cut: Set[Tuple[ProcessId, ProcessId]] = set()
+        self._link_faults: Dict[
+            Tuple[Optional[ProcessId], Optional[ProcessId]], LinkFaultPolicy
+        ] = {}
+        self._policy_cache: Dict[
+            Tuple[ProcessId, ProcessId], Optional[LinkFaultPolicy]
+        ] = {}
+        self._fault_rngs: Dict[Tuple[ProcessId, ProcessId], Any] = {}
+        self.messages_sent = 0
+        self.messages_dropped = 0
+        self.messages_duplicated = 0
+        self.messages_reordered = 0
+
+    # ------------------------------------------------------------------
+    # Topology
+    # ------------------------------------------------------------------
+
+    def attach(self, proc: SimProcess) -> None:
+        if proc.pid in self._procs:
+            raise ValueError(f"pid {proc.pid} already attached")
+        self._procs[proc.pid] = proc
+
+    def process(self, pid: ProcessId) -> SimProcess:
+        return self._procs[pid]
+
+    @property
+    def pids(self) -> List[ProcessId]:
+        return sorted(self._procs)
+
+    # ------------------------------------------------------------------
+    # Fault injection (default off)
+    # ------------------------------------------------------------------
+
+    def _before_fault(self) -> None:
+        """Called before a cut or a link-fault policy takes effect."""
+
+    def cut(self, a: ProcessId, b: ProcessId, bidirectional: bool = True) -> None:
+        """Drop all future messages on the (a, b) channel(s)."""
+        self._before_fault()
+        self._cut.add((a, b))
+        if bidirectional:
+            self._cut.add((b, a))
+
+    def heal(self, a: ProcessId, b: ProcessId, bidirectional: bool = True) -> None:
+        """Undo :meth:`cut`."""
+        self._cut.discard((a, b))
+        if bidirectional:
+            self._cut.discard((b, a))
+
+    def partition(self, side_a: Set[ProcessId], side_b: Set[ProcessId]) -> None:
+        """Cut every channel crossing the two sides."""
+        for a in side_a:
+            for b in side_b:
+                self.cut(a, b)
+
+    def heal_all(self) -> None:
+        self._cut.clear()
+
+    def set_link_fault(
+        self,
+        src: Optional[ProcessId] = None,
+        dst: Optional[ProcessId] = None,
+        *,
+        loss: float = 0.0,
+        duplicate: float = 0.0,
+        reorder: float = 0.0,
+        reorder_spread: float = 0.004,
+        filter: Optional[Callable[[Any], bool]] = None,
+    ) -> None:
+        """Install (or replace) a :class:`LinkFaultPolicy`.
+
+        ``src``/``dst`` select the scope: both ``None`` is the network-wide
+        default, one of them wildcards that end, both given names one
+        directed edge.  Resolution per message is most-specific-first:
+        ``(src, dst)`` > ``(src, *)`` > ``(*, dst)`` > default — so an
+        explicit all-zero policy on an edge shields it from a lossy
+        default.  Every probabilistic draw comes from the edge's own
+        ``faults.<src>.<dst>`` RNG stream, independent of latency draws
+        and of every other edge.
+        """
+        self._before_fault()
+        self._link_faults[(src, dst)] = LinkFaultPolicy(
+            loss=loss,
+            duplicate=duplicate,
+            reorder=reorder,
+            reorder_spread=reorder_spread,
+            filter=filter,
+        )
+        self._policy_cache.clear()
+
+    def _resolve_policy(
+        self, channel: Tuple[ProcessId, ProcessId], payload: Any
+    ) -> Optional[LinkFaultPolicy]:
+        """The policy that applies to ``payload`` on ``channel``, or
+        ``None`` when the channel's policy is inert or filters it out."""
+        try:
+            policy = self._policy_cache[channel]
+        except KeyError:
+            src, dst = channel
+            faults = self._link_faults
+            policy = (
+                faults.get((src, dst))
+                or faults.get((src, None))
+                or faults.get((None, dst))
+                or faults.get((None, None))
+            )
+            # An inert policy shadows broader ones but never applies.
+            if policy is not None and policy.inert:
+                policy = None
+            self._policy_cache[channel] = policy
+        if policy is None or (
+            policy.filter is not None and not policy.filter(payload)
+        ):
+            return None
+        return policy
+
+    def _fault_rng(self, channel: Tuple[ProcessId, ProcessId]):
+        rng = self._fault_rngs.get(channel)
+        if rng is None:
+            rng = self.sim.rng(f"faults.{channel[0]}.{channel[1]}")
+            self._fault_rngs[channel] = rng
+        return rng
+
+
+class Network(NetworkBase):
     """Full mesh of reliable FIFO channels over a :class:`Simulator`.
 
     Processes attach themselves on construction (see
@@ -372,11 +521,9 @@ class Network:
         sim: Simulator,
         latency: Optional[LatencyModel] = None,
     ) -> None:
-        self.sim = sim
+        super().__init__(sim)
         self.latency = latency or ConstantLatency()
-        self._procs: Dict[ProcessId, SimProcess] = {}
         self._last_delivery: Dict[Tuple[ProcessId, ProcessId], float] = {}
-        self._stats: Dict[Tuple[ProcessId, ProcessId], ChannelStats] = {}
         # Constant models short-circuit sampling entirely; random models
         # are drawn in per-edge batches (consumed in stream order).
         # Exact-type check: a ConstantLatency *subclass* may override
@@ -395,46 +542,22 @@ class Network:
         self._groups: Dict[Any, _FanoutGroup] = {}
         self._attach_epoch = 0
         self._lanes: Dict[Tuple[ProcessId, ProcessId], DeferredLane] = {}
-        # Fault injection state (all empty/None by default = reliable net).
-        self._cut: Set[Tuple[ProcessId, ProcessId]] = set()
+        # Simulation-only fault knobs (None by default = reliable net).
         self._drop_filter: Optional[Callable[[ProcessId, ProcessId, Any], bool]] = None
         self._delay_filter: Optional[Callable[[ProcessId, ProcessId, Any], float]] = None
-        # Lossy link layer: policies keyed by (src|None, dst|None); the
-        # per-channel resolution is cached until a policy changes.  Fault
-        # draws come from per-edge "faults.<src>.<dst>" RNG streams.
-        self._link_faults: Dict[
-            Tuple[Optional[ProcessId], Optional[ProcessId]], LinkFaultPolicy
-        ] = {}
-        self._policy_cache: Dict[
-            Tuple[ProcessId, ProcessId], Optional[LinkFaultPolicy]
-        ] = {}
-        self._fault_rngs: Dict[Tuple[ProcessId, ProcessId], Any] = {}
-        self.messages_sent = 0
         self._delivered = 0
-        self.messages_dropped = 0
-        self.messages_duplicated = 0
-        self.messages_reordered = 0
 
     # ------------------------------------------------------------------
     # Topology
     # ------------------------------------------------------------------
 
     def attach(self, proc: SimProcess) -> None:
-        if proc.pid in self._procs:
-            raise ValueError(f"pid {proc.pid} already attached")
-        self._procs[proc.pid] = proc
+        super().attach(proc)
         if self._groups:
             # Deliveries counted so far belong to the old attachment; a
             # fan-out already in flight must still reach the newcomer.
             self._flush_groups()
             self._attach_epoch += 1
-
-    def process(self, pid: ProcessId) -> SimProcess:
-        return self._procs[pid]
-
-    @property
-    def pids(self) -> List[ProcessId]:
-        return sorted(self._procs)
 
     # ------------------------------------------------------------------
     # Sending
@@ -470,12 +593,7 @@ class Network:
         # all-zero policy is byte-identical to no policy at all.
         policy = None
         if self._link_faults:
-            policy = self._resolve_policy(channel)
-            if policy is not None and (
-                policy.inert
-                or (policy.filter is not None and not policy.filter(payload))
-            ):
-                policy = None
+            policy = self._resolve_policy(channel, payload)
         if policy is not None and policy.loss:
             if self._fault_rng(channel).random() < policy.loss:
                 stats.dropped += 1
@@ -618,7 +736,7 @@ class Network:
                         last[ch] = clamp
                 group.last_now = None
 
-    def _leave_batched_path(self) -> None:
+    def _before_fault(self) -> None:
         """Permanently fall back to the per-destination loop.
 
         Called before the first fault-injection knob takes effect; the
@@ -657,106 +775,15 @@ class Network:
         return self._delivered
 
     # ------------------------------------------------------------------
-    # Fault injection (used by tests; default off)
+    # Simulation-only fault knobs
     # ------------------------------------------------------------------
-
-    def cut(self, a: ProcessId, b: ProcessId, bidirectional: bool = True) -> None:
-        """Drop all future messages on the (a, b) channel(s)."""
-        self._leave_batched_path()
-        self._cut.add((a, b))
-        if bidirectional:
-            self._cut.add((b, a))
-
-    def heal(self, a: ProcessId, b: ProcessId, bidirectional: bool = True) -> None:
-        """Undo :meth:`cut`."""
-        self._cut.discard((a, b))
-        if bidirectional:
-            self._cut.discard((b, a))
-
-    def partition(self, side_a: Set[ProcessId], side_b: Set[ProcessId]) -> None:
-        """Cut every channel crossing the two sides."""
-        for a in side_a:
-            for b in side_b:
-                self.cut(a, b)
-
-    def heal_all(self) -> None:
-        self._cut.clear()
 
     def set_drop_filter(
         self, predicate: Optional[Callable[[ProcessId, ProcessId, Any], bool]]
     ) -> None:
         """Drop messages for which ``predicate(src, dst, payload)`` is true."""
-        self._leave_batched_path()
+        self._before_fault()
         self._drop_filter = predicate
-
-    def set_link_fault(
-        self,
-        src: Optional[ProcessId] = None,
-        dst: Optional[ProcessId] = None,
-        *,
-        loss: float = 0.0,
-        duplicate: float = 0.0,
-        reorder: float = 0.0,
-        reorder_spread: float = 0.004,
-        filter: Optional[Callable[[Any], bool]] = None,
-    ) -> None:
-        """Install (or replace) a :class:`LinkFaultPolicy`.
-
-        ``src``/``dst`` select the scope: both ``None`` is the network-wide
-        default, one of them wildcards that end, both given names one
-        directed edge.  Resolution per message is most-specific-first:
-        ``(src, dst)`` > ``(src, *)`` > ``(*, dst)`` > default — so an
-        explicit all-zero policy on an edge shields it from a lossy
-        default.  Every probabilistic draw comes from the edge's own
-        ``faults.<src>.<dst>`` RNG stream, independent of latency draws
-        and of every other edge.
-        """
-        self._leave_batched_path()
-        self._link_faults[(src, dst)] = LinkFaultPolicy(
-            loss=loss,
-            duplicate=duplicate,
-            reorder=reorder,
-            reorder_spread=reorder_spread,
-            filter=filter,
-        )
-        self._policy_cache.clear()
-
-    def clear_link_fault(
-        self, src: Optional[ProcessId] = None, dst: Optional[ProcessId] = None
-    ) -> None:
-        """Remove the policy installed for exactly this scope (idempotent)."""
-        self._link_faults.pop((src, dst), None)
-        self._policy_cache.clear()
-
-    def clear_link_faults(self) -> None:
-        """Remove every link-fault policy; the network is reliable again."""
-        self._link_faults.clear()
-        self._policy_cache.clear()
-
-    def _resolve_policy(
-        self, channel: Tuple[ProcessId, ProcessId]
-    ) -> Optional[LinkFaultPolicy]:
-        try:
-            return self._policy_cache[channel]
-        except KeyError:
-            pass
-        src, dst = channel
-        faults = self._link_faults
-        policy = (
-            faults.get((src, dst))
-            or faults.get((src, None))
-            or faults.get((None, dst))
-            or faults.get((None, None))
-        )
-        self._policy_cache[channel] = policy
-        return policy
-
-    def _fault_rng(self, channel: Tuple[ProcessId, ProcessId]):
-        rng = self._fault_rngs.get(channel)
-        if rng is None:
-            rng = self.sim.rng(f"faults.{channel[0]}.{channel[1]}")
-            self._fault_rngs[channel] = rng
-        return rng
 
     def set_delay_filter(
         self, extra: Optional[Callable[[ProcessId, ProcessId, Any], float]]
@@ -767,7 +794,7 @@ class Network:
         message also delays everything behind it on the same channel, which
         is exactly how a slow link behaves.
         """
-        self._leave_batched_path()
+        self._before_fault()
         self._delay_filter = extra
 
     # ------------------------------------------------------------------

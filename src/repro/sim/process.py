@@ -14,14 +14,14 @@ asynchronous network.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, TYPE_CHECKING
+from typing import Any, Callable, Dict, Optional, TYPE_CHECKING
 
 from repro.sim.kernel import EventHandle, Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.network import Network
 
-__all__ = ["ProcessId", "SimProcess", "ProcessRegistry"]
+__all__ = ["ProcessId", "SimProcess"]
 
 #: Process identifiers are small integers throughout the reproduction; the
 #: alias documents intent at call sites.
@@ -157,43 +157,3 @@ class SimProcess:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "crashed" if self.crashed else "up"
         return f"{type(self).__name__}(pid={self.pid}, {state})"
-
-
-class ProcessRegistry:
-    """A container of processes keyed by pid, with bulk operations.
-
-    Convenience for tests and experiment harnesses that create groups of
-    identical processes.
-    """
-
-    def __init__(self) -> None:
-        self._procs: Dict[ProcessId, SimProcess] = {}
-
-    def add(self, proc: SimProcess) -> SimProcess:
-        if proc.pid in self._procs:
-            raise ValueError(f"duplicate pid {proc.pid}")
-        self._procs[proc.pid] = proc
-        return proc
-
-    def __getitem__(self, pid: ProcessId) -> SimProcess:
-        return self._procs[pid]
-
-    def __contains__(self, pid: ProcessId) -> bool:
-        return pid in self._procs
-
-    def __iter__(self):
-        return iter(self._procs.values())
-
-    def __len__(self) -> int:
-        return len(self._procs)
-
-    @property
-    def pids(self) -> List[ProcessId]:
-        return sorted(self._procs)
-
-    def start_all(self) -> None:
-        for proc in self._procs.values():
-            proc.start()
-
-    def alive(self) -> List[SimProcess]:
-        return [p for p in self._procs.values() if not p.crashed]

@@ -9,11 +9,13 @@ Because :class:`~repro.core.svs.SVSProcess` only ever calls
 ``network.send``, swapping this in for the simulated network requires no
 protocol change whatsoever.
 
-Emulated link faults reuse the *same* :class:`~repro.sim.network.LinkFaultPolicy`
-dataclass and most-specific-first resolution as the kernel network, with
-draws from seeded ``faults.<src>.<dst>`` RNG streams — so a fault profile
-written for simulation (``Scenario.faults("lossy-links")``) applies to a
-live loopback run unmodified.
+The topology and the fault model are not re-implemented here: both
+networks inherit them from :class:`~repro.sim.network.NetworkBase` — the
+same cut set, :class:`~repro.sim.network.LinkFaultPolicy` resolution and
+seeded ``faults.<src>.<dst>`` RNG streams — so a fault profile written for
+simulation (``Scenario.faults("lossy-links")``) applies to a live loopback
+run unmodified.  ``reorder`` is the one policy rate not emulated: a live
+transport reorders on its own terms.
 
 The network also exposes two integration points the wall-clock runtime
 uses without touching the protocol:
@@ -28,10 +30,10 @@ uses without touching the protocol:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.message import Envelope
-from repro.sim.network import ChannelStats, LinkFaultPolicy
+from repro.sim.network import ChannelStats, NetworkBase
 from repro.sim.process import ProcessId, SimProcess
 from repro.transport.clock import WallClock
 from repro.transport.framing import FramingError, pack, unpack
@@ -43,31 +45,17 @@ SendObserver = Callable[[ProcessId, ProcessId, Any], None]
 StreamHandler = Callable[[ProcessId, ProcessId, Any], None]
 
 
-class TransportNetwork:
+class TransportNetwork(NetworkBase):
     """Frame-and-forward network over a live transport backend."""
 
     def __init__(self, clock: WallClock, transport: Transport) -> None:
-        self.sim = clock  # the name the Network surface uses
+        super().__init__(clock)
         self.clock = clock
         self.transport = transport
-        self._procs: Dict[ProcessId, SimProcess] = {}
-        self._stats: Dict[Tuple[ProcessId, ProcessId], ChannelStats] = {}
         self._send_observers: List[SendObserver] = []
         self._receive_observers: List[SendObserver] = []
         self._stream_handlers: Dict[str, StreamHandler] = {}
-        # Fault API state — mirrors repro.sim.network.Network.
-        self._cut: Set[Tuple[ProcessId, ProcessId]] = set()
-        self._link_faults: Dict[
-            Tuple[Optional[ProcessId], Optional[ProcessId]], LinkFaultPolicy
-        ] = {}
-        self._policy_cache: Dict[
-            Tuple[ProcessId, ProcessId], Optional[LinkFaultPolicy]
-        ] = {}
-        self.messages_sent = 0
         self.messages_delivered = 0
-        self.messages_dropped = 0
-        self.messages_duplicated = 0
-        self.messages_reordered = 0
         #: Frames that failed to decode (malformed/foreign datagrams).
         self.decode_errors = 0
         self.last_decode_error: Optional[str] = None
@@ -77,17 +65,8 @@ class TransportNetwork:
     # ------------------------------------------------------------------
 
     def attach(self, proc: SimProcess) -> None:
-        if proc.pid in self._procs:
-            raise ValueError(f"pid {proc.pid} already attached")
-        self._procs[proc.pid] = proc
+        super().attach(proc)
         self.transport.bind(proc.pid, self._on_datagram)
-
-    def process(self, pid: ProcessId) -> SimProcess:
-        return self._procs[pid]
-
-    @property
-    def pids(self) -> List[ProcessId]:
-        return sorted(self._procs)
 
     # ------------------------------------------------------------------
     # Runtime integration
@@ -124,19 +103,14 @@ class TransportNetwork:
             stats.dropped += 1
             self.messages_dropped += 1
             return
-        # Emulated lossy links — the same policies, resolution order and
-        # per-edge RNG streams as the simulated network.
+        # Emulated lossy links — the fault model shared with the
+        # simulated network.
         policy = None
         if self._link_faults:
-            policy = self._resolve_policy(channel)
-            if policy is not None and (
-                policy.inert
-                or (policy.filter is not None and not policy.filter(payload))
-            ):
-                policy = None
+            policy = self._resolve_policy(channel, payload)
         duplicated = False
         if policy is not None:
-            rng = self.clock.rng(f"faults.{src}.{dst}")
+            rng = self._fault_rng(channel)
             if policy.loss and rng.random() < policy.loss:
                 stats.dropped += 1
                 self.messages_dropped += 1
@@ -186,76 +160,6 @@ class TransportNetwork:
         for observer in self._receive_observers:
             observer(src, dst, payload)
         proc._deliver(src, payload)
-
-    # ------------------------------------------------------------------
-    # Fault API (FaultPlan compatibility)
-    # ------------------------------------------------------------------
-
-    def cut(self, a: ProcessId, b: ProcessId, bidirectional: bool = True) -> None:
-        self._cut.add((a, b))
-        if bidirectional:
-            self._cut.add((b, a))
-
-    def heal(self, a: ProcessId, b: ProcessId, bidirectional: bool = True) -> None:
-        self._cut.discard((a, b))
-        if bidirectional:
-            self._cut.discard((b, a))
-
-    def partition(self, side_a: Set[ProcessId], side_b: Set[ProcessId]) -> None:
-        for a in side_a:
-            for b in side_b:
-                self.cut(a, b)
-
-    def heal_all(self) -> None:
-        self._cut.clear()
-
-    def set_link_fault(
-        self,
-        src: Optional[ProcessId] = None,
-        dst: Optional[ProcessId] = None,
-        *,
-        loss: float = 0.0,
-        duplicate: float = 0.0,
-        reorder: float = 0.0,
-        reorder_spread: float = 0.004,
-        filter: Optional[Callable[[Any], bool]] = None,
-    ) -> None:
-        self._link_faults[(src, dst)] = LinkFaultPolicy(
-            loss=loss,
-            duplicate=duplicate,
-            reorder=reorder,
-            reorder_spread=reorder_spread,
-            filter=filter,
-        )
-        self._policy_cache.clear()
-
-    def clear_link_fault(
-        self, src: Optional[ProcessId] = None, dst: Optional[ProcessId] = None
-    ) -> None:
-        self._link_faults.pop((src, dst), None)
-        self._policy_cache.clear()
-
-    def clear_link_faults(self) -> None:
-        self._link_faults.clear()
-        self._policy_cache.clear()
-
-    def _resolve_policy(
-        self, channel: Tuple[ProcessId, ProcessId]
-    ) -> Optional[LinkFaultPolicy]:
-        try:
-            return self._policy_cache[channel]
-        except KeyError:
-            pass
-        src, dst = channel
-        faults = self._link_faults
-        policy = (
-            faults.get((src, dst))
-            or faults.get((src, None))
-            or faults.get((None, dst))
-            or faults.get((None, None))
-        )
-        self._policy_cache[channel] = policy
-        return policy
 
     # ------------------------------------------------------------------
     # Introspection

@@ -2,25 +2,7 @@
 
 import pytest
 
-from repro.metrics.collectors import (
-    BusyTracker,
-    Counter,
-    Histogram,
-    TimeWeightedStat,
-    summarize,
-)
-
-
-class TestCounter:
-    def test_increment(self):
-        c = Counter("x")
-        c.increment()
-        c.increment(4)
-        assert int(c) == 5
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            Counter().increment(-1)
+from repro.metrics.collectors import Histogram, TimeWeightedStat
 
 
 class TestTimeWeightedStat:
@@ -52,55 +34,6 @@ class TestTimeWeightedStat:
         stat = TimeWeightedStat()
         stat.update(1.0, 3.0)
         assert stat.current == 3.0
-
-
-class TestBusyTracker:
-    def test_fraction_of_busy_time(self):
-        t = BusyTracker()
-        t.enter(1.0)
-        t.leave(3.0)
-        assert t.fraction(4.0) == pytest.approx(0.5)
-
-    def test_open_interval_counted_by_fraction(self):
-        t = BusyTracker()
-        t.enter(2.0)
-        assert t.fraction(4.0) == pytest.approx(0.5)
-
-    def test_double_enter_ignored(self):
-        t = BusyTracker()
-        t.enter(1.0)
-        t.enter(2.0)
-        t.leave(3.0)
-        assert t.total_busy == pytest.approx(2.0)
-
-    def test_leave_without_enter_ignored(self):
-        t = BusyTracker()
-        t.leave(1.0)
-        assert t.total_busy == 0.0
-
-    def test_finish_closes_open_interval(self):
-        t = BusyTracker()
-        t.enter(1.0)
-        t.finish(2.0)
-        assert t.total_busy == pytest.approx(1.0)
-        assert not t.busy
-
-    def test_interval_ends_before_start_rejected(self):
-        t = BusyTracker()
-        t.enter(5.0)
-        with pytest.raises(ValueError):
-            t.leave(4.0)
-
-    def test_intervals_recorded(self):
-        t = BusyTracker()
-        t.enter(1.0)
-        t.leave(2.0)
-        t.enter(3.0)
-        t.leave(4.0)
-        assert t.intervals == [(1.0, 2.0), (3.0, 4.0)]
-
-    def test_zero_elapsed_fraction(self):
-        assert BusyTracker().fraction(0.0) == 0.0
 
 
 class TestHistogram:
@@ -141,24 +74,6 @@ class TestHistogram:
         assert h.mean() == 0.0
         assert h.percentage(1) == 0.0
         assert h.quantile(0.9) == 0
-
-
-class TestSummarize:
-    def test_basic_stats(self):
-        s = summarize([1.0, 2.0, 3.0])
-        assert s.count == 3
-        assert s.mean == pytest.approx(2.0)
-        assert s.minimum == 1.0
-        assert s.maximum == 3.0
-        assert s.stdev == pytest.approx(0.8164965809)
-
-    def test_empty_sample(self):
-        s = summarize([])
-        assert s.count == 0 and s.mean == 0.0
-
-    def test_single_value(self):
-        s = summarize([5.0])
-        assert s.stdev == 0.0
 
 
 class TestQuantileBoundarySemantics:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.sim.kernel import Simulator
 from repro.sim.network import Network
-from repro.sim.process import ProcessRegistry, SimProcess
+from repro.sim.process import SimProcess
 
 
 class Echo(SimProcess):
@@ -140,51 +140,3 @@ class TestTimers:
         a.set_timer("t", 1.0, lambda: None)
         sim.run()
         assert not a.has_timer("t")
-
-
-class TestRegistry:
-    def test_add_and_lookup(self):
-        sim = Simulator()
-        net = Network(sim)
-        reg = ProcessRegistry()
-        p = Echo(3, sim, net)
-        reg.add(p)
-        assert reg[3] is p
-        assert 3 in reg
-        assert len(reg) == 1
-
-    def test_duplicate_pid_rejected(self):
-        sim = Simulator()
-        net = Network(sim)
-        reg = ProcessRegistry()
-        reg.add(Echo(0, sim, net))
-        other_net = Network(Simulator())
-        with pytest.raises(ValueError):
-            reg.add(Echo(0, Simulator(), other_net))
-
-    def test_pids_sorted(self):
-        sim = Simulator()
-        net = Network(sim)
-        reg = ProcessRegistry()
-        for pid in (2, 0, 1):
-            reg.add(Echo(pid, sim, net))
-        assert reg.pids == [0, 1, 2]
-
-    def test_alive_excludes_crashed(self):
-        sim = Simulator()
-        net = Network(sim)
-        reg = ProcessRegistry()
-        for pid in range(3):
-            reg.add(Echo(pid, sim, net))
-        reg[1].crash()
-        assert {p.pid for p in reg.alive()} == {0, 2}
-
-    def test_start_all(self):
-        sim = Simulator()
-        net = Network(sim)
-        reg = ProcessRegistry()
-        for pid in range(3):
-            reg.add(Echo(pid, sim, net))
-        reg.start_all()
-        sim.run()
-        assert all(p.started for p in reg)
