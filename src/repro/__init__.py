@@ -23,8 +23,9 @@ Quick start — declare a whole experiment session with the Scenario API::
 
 Every named component — relation, consensus protocol, failure detector,
 latency model, workload — resolves through :mod:`repro.registry`, so
-third-party backends plug in with a decorator.  The lower-level
-:class:`GroupStack` remains for hand-wired setups::
+third-party backends plug in with a decorator.  Every run, a Scenario's
+included, builds one :class:`GroupStack` from a relation and a
+:class:`StackConfig`; hand-wired setups build it the same way::
 
     from repro import GroupStack, ItemTagging, StackConfig
 
@@ -96,7 +97,6 @@ from repro.gcs import (
     GroupEndpoint,
     GroupStack,
     RateLimitedConsumer,
-    RunContext,
     StackConfig,
 )
 from repro.registry import (
@@ -155,7 +155,6 @@ __all__ = [
     "check_all",
     # stack
     "GroupStack",
-    "RunContext",
     "StackConfig",
     "GroupEndpoint",
     "RateLimitedConsumer",

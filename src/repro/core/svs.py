@@ -78,11 +78,6 @@ from repro.sim.kernel import Simulator
 from repro.sim.network import Network
 from repro.sim.process import ProcessId, SimProcess
 
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.gcs.context import RunContext
-
 __all__ = ["SVS_STREAM", "SVSListeners", "SVSProcess"]
 
 SVS_STREAM = "svs"
@@ -150,12 +145,6 @@ class SVSProcess(SimProcess):
         :mod:`repro.faults`, where a dropped PRED would otherwise stall
         the view change forever.  Receivers treat retransmissions
         idempotently, so this never changes outcomes on reliable links.
-    ctx:
-        Optional pre-validated :class:`~repro.gcs.context.RunContext`.
-        When a stack builds its members from a context, per-process
-        parameter validation is skipped — the context validated the shared
-        configuration once for the whole run (and for every replicate
-        reusing it).
     """
 
     def __init__(
@@ -170,10 +159,8 @@ class SVSProcess(SimProcess):
         listeners: Optional[SVSListeners] = None,
         stability_interval: Optional[float] = None,
         viewchange_retry: Optional[float] = None,
-        ctx: Optional["RunContext"] = None,
     ) -> None:
         super().__init__(pid, sim, network)
-        self.ctx = ctx
         if not isinstance(fd, FailureDetector):
             fd = fd(self)
         self.relation = relation
@@ -203,9 +190,7 @@ class SVSProcess(SimProcess):
         self._pending_consensus: Dict[int, List[Tuple[ProcessId, Any]]] = {}
 
         # Optional INIT/PRED retransmission for lossy links (see class
-        # doc).  Checked unconditionally — unlike the heavier shared-config
-        # validation a RunContext amortises, this is one comparison, and a
-        # NaN slipping through would poison set_timer.
+        # doc).  A NaN slipping through would poison set_timer.
         if viewchange_retry is not None:
             check_positive(viewchange_retry, "viewchange_retry")
         self.viewchange_retry = viewchange_retry
@@ -224,8 +209,7 @@ class SVSProcess(SimProcess):
         if stability_interval is not None:
             from repro.gcs.stability import StabilityState, WatermarkTracker
 
-            # A context already validated the shared configuration once.
-            if ctx is None and stability_interval <= 0:
+            if stability_interval <= 0:
                 raise ValueError("stability_interval must be positive")
             self._stability = StabilityState(pid, WatermarkTracker())
             self.set_timer(

@@ -1,7 +1,6 @@
-"""Group communication service: stack assembly, application endpoints,
-stability tracking, and reusable run contexts."""
+"""Group communication service: stack assembly, application endpoints
+and stability tracking."""
 
-from repro.gcs.context import RunContext
 from repro.gcs.endpoint import GroupEndpoint, RateLimitedConsumer
 from repro.gcs.stability import StabilityState, StableMessage, WatermarkTracker
 from repro.gcs.stack import GroupStack, StackConfig
@@ -9,7 +8,6 @@ from repro.gcs.stack import GroupStack, StackConfig
 __all__ = [
     "GroupStack",
     "StackConfig",
-    "RunContext",
     "GroupEndpoint",
     "RateLimitedConsumer",
     "WatermarkTracker",

@@ -1,162 +1,81 @@
-"""Reusable, pre-validated construction context for simulation runs.
+"""The validated construction input of a group stack.
 
-Every sweep cell used to pay the same fixed setup tax: re-validate the
-:class:`~repro.gcs.stack.StackConfig`, re-resolve the consensus / failure
-detector / latency registries, re-create the relation from its registry
-name and re-build the initial :class:`~repro.core.message.View` — all of
-which depend only on the *configuration*, not on the seed.  With grids of
-thousands of cells (PR 2's sweep engine) that tax is pure overhead.
-
-:class:`RunContext` hoists that work out of the per-cell path:
-
-* :meth:`RunContext.prepare` validates once and resolves every registry
-  entry once;
-* :meth:`RunContext.stack` then builds a fresh, fully wired
-  :class:`~repro.gcs.stack.GroupStack` per (cell, replicate) seed without
-  repeating any validation;
-* :meth:`RunContext.cached` memoises contexts per configuration, which is
-  what the Scenario builder and the sweep executor use — one context per
-  distinct configuration per worker process, shared by all its replicates.
-
-The context is deliberately *stateless with respect to runs*: relations,
-factories and views it holds are themselves stateless or copied per
-stack, so two stacks built from one context never share mutable state.
+A :class:`StackConfig` holds every option
+:class:`~repro.gcs.stack.GroupStack` is built from and checks them when it
+is created: bad values raise ``ValueError`` and unknown backend names raise
+with the list of registered ones, before any part of a stack exists.
+:mod:`repro.gcs.stack` re-exports it, so ``from repro.gcs.stack import
+StackConfig`` keeps working.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
-from typing import Any, ClassVar, Dict, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Any, Dict, Optional
 
-from repro.core.message import View
-from repro.core.obsolescence import ObsolescenceRelation
-from repro.registry import (
-    consensus_protocols,
-    failure_detectors,
-    latency_models,
-    relations as relation_registry,
-)
+from repro.registry import consensus_protocols, failure_detectors, latency_models
+from repro.sim.failure import check_positive
 
-__all__ = ["RunContext", "context_cache_info", "clear_context_cache"]
-
-
-def _config_key(config: "StackConfig") -> str:
-    """Canonical JSON identity of a config (sans seed — seeds vary per
-    replicate and must not fragment the cache)."""
-    data = asdict(config)
-    data.pop("seed", None)
-    return json.dumps(data, sort_keys=True, default=repr)
+__all__ = ["StackConfig"]
 
 
 @dataclass
-class RunContext:
-    """Validated construction inputs for one stack configuration.
+class StackConfig:
+    """Construction options for :class:`GroupStack`."""
 
-    Build with :meth:`prepare` (or :meth:`cached`); then call
-    :meth:`stack` once per seed.  The fields mirror exactly what
-    :class:`~repro.gcs.stack.GroupStack` used to recompute per run.
-    """
+    n: int = 3
+    seed: int = 0
+    latency: float = 0.001
+    consensus: str = "chandra-toueg"  # any registered consensus protocol
+    consensus_delay: float = 0.0  # oracle only
+    fd: str = "oracle"  # any registered failure detector
+    fd_delay: float = 0.05  # oracle detection delay
+    heartbeat_period: float = 0.02
+    heartbeat_timeout: float = 0.1
+    record_history: bool = True
+    stability_interval: Optional[float] = None
+    """Enable stability tracking (watermark gossip + stable-message GC)
+    at this period; None reproduces the paper's protocol exactly."""
 
-    config: "StackConfig"
-    relation: ObsolescenceRelation
-    initial_view: View
+    viewchange_retry: Optional[float] = None
+    """Re-send INIT/PRED for an open view change at this period; None (the
+    default, matching the paper's reliable channels) never retransmits.
+    Set it when running over the lossy links of :mod:`repro.faults`."""
 
-    @classmethod
-    def prepare(
-        cls,
-        relation: Union[ObsolescenceRelation, str],
-        config: Optional["StackConfig"] = None,
-        relation_params: Optional[Dict[str, Any]] = None,
-    ) -> "RunContext":
-        """Validate the configuration and resolve every named backend.
+    latency_model: str = "constant"
+    """Named latency model; ``"constant"`` reads its value from ``latency``."""
 
-        ``relation`` may be a registry name (created here, once) or an
-        instance (used as-is; the paper's relations are stateless, so one
-        instance can safely serve many stacks).
-        """
-        from repro.gcs.stack import StackConfig
+    latency_params: Optional[Dict[str, Any]] = None
+    """Extra keyword arguments for the latency-model factory."""
 
-        config = config or StackConfig()
-        if isinstance(relation, str):
-            relation = relation_registry.create(
-                relation, **(relation_params or {})
+    def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ValueError("a group needs at least one member")
+        if self.latency < 0:
+            raise ValueError(f"latency must be non-negative: {self.latency!r}")
+        if self.consensus_delay < 0:
+            raise ValueError(
+                f"consensus_delay must be non-negative: {self.consensus_delay!r}"
             )
-        # StackConfig.__post_init__ already checked the registry names;
-        # pin the resolved entries so stack() never consults them again.
-        consensus_protocols.get(config.consensus)
-        failure_detectors.get(config.fd)
-        latency_models.get(config.latency_model)
-        return cls(
-            config=config,
-            relation=relation,
-            initial_view=View(0, frozenset(range(config.n))),
-        )
-
-    # ------------------------------------------------------------------
-    # Per-configuration memoisation (one entry per worker process)
-    # ------------------------------------------------------------------
-
-    _cache: ClassVar[Dict[Tuple[str, str], "RunContext"]] = {}
-    _cache_hits: ClassVar[int] = 0
-    _cache_misses: ClassVar[int] = 0
-
-    @classmethod
-    def cached(
-        cls,
-        relation_name: str,
-        config: "StackConfig",
-        relation_params: Optional[Dict[str, Any]] = None,
-    ) -> "RunContext":
-        """The memoised context for (relation name + params, config).
-
-        Only registry-named relations are cacheable — an instance passed
-        by the caller may be stateful, so it always gets a fresh
-        :meth:`prepare`.  Seeds are excluded from the cache key: replicate
-        N of a cell reuses the context replicate 0 built.
-        """
-        key = (
-            json.dumps(
-                {"name": relation_name, "params": relation_params or {}},
-                sort_keys=True,
-                default=repr,
-            ),
-            _config_key(config),
-        )
-        ctx = cls._cache.get(key)
-        if ctx is None:
-            RunContext._cache_misses += 1
-            ctx = cls.prepare(relation_name, config, relation_params)
-            cls._cache[key] = ctx
-        else:
-            RunContext._cache_hits += 1
-        return ctx
-
-    # ------------------------------------------------------------------
-    # Fast stack construction
-    # ------------------------------------------------------------------
-
-    def stack(self, seed: Optional[int] = None) -> "GroupStack":
-        """A fresh :class:`~repro.gcs.stack.GroupStack` for ``seed``.
-
-        Skips config validation and registry resolution — both happened in
-        :meth:`prepare`.  ``seed=None`` uses the context config's seed.
-        """
-        from repro.gcs.stack import GroupStack
-
-        return GroupStack(self.relation, self.config, context=self, seed=seed)
-
-
-def context_cache_info() -> Dict[str, int]:
-    """Hit/miss counters of the per-process context cache (for tests)."""
-    return {
-        "hits": RunContext._cache_hits,
-        "misses": RunContext._cache_misses,
-        "entries": len(RunContext._cache),
-    }
-
-
-def clear_context_cache() -> None:
-    RunContext._cache.clear()
-    RunContext._cache_hits = 0
-    RunContext._cache_misses = 0
+        if self.fd_delay < 0:
+            raise ValueError(f"fd_delay must be non-negative: {self.fd_delay!r}")
+        if self.heartbeat_period <= 0:
+            raise ValueError(
+                f"heartbeat_period must be positive: {self.heartbeat_period!r}"
+            )
+        if self.heartbeat_timeout <= 0:
+            raise ValueError(
+                f"heartbeat_timeout must be positive: {self.heartbeat_timeout!r}"
+            )
+        # Validated here as well as in SVSProcess, so a bad config fails
+        # before any part of the stack is built.
+        if self.stability_interval is not None and self.stability_interval <= 0:
+            raise ValueError(
+                f"stability_interval must be positive: {self.stability_interval!r}"
+            )
+        if self.viewchange_retry is not None:
+            check_positive(self.viewchange_retry, "viewchange_retry")
+        # Raise early (with the list of registered names) on unknown backends.
+        consensus_protocols.get(self.consensus)
+        failure_detectors.get(self.fd)
+        latency_models.get(self.latency_model)

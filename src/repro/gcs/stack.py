@@ -24,8 +24,7 @@ any change to this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, List, Optional, Union
 
 # Imported for their registry side-effects (the built-in backends register
 # themselves at import time) as well as for typing.
@@ -37,6 +36,7 @@ from repro.core.obsolescence import ObsolescenceRelation
 from repro.core.spec import HistoryRecorder
 from repro.core.svs import SVSProcess
 from repro.fd.detector import FailureDetector  # noqa: F401
+from repro.gcs.context import StackConfig
 from repro.registry import (
     consensus_protocols,
     failure_detectors,
@@ -48,86 +48,16 @@ from repro.sim.kernel import Simulator
 from repro.sim.network import Network
 from repro.sim.process import ProcessId
 
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.gcs.context import RunContext
-
 __all__ = ["GroupStack", "StackConfig"]
-
-
-@dataclass
-class StackConfig:
-    """Construction options for :class:`GroupStack`."""
-
-    n: int = 3
-    seed: int = 0
-    latency: float = 0.001
-    consensus: str = "chandra-toueg"  # any registered consensus protocol
-    consensus_delay: float = 0.0  # oracle only
-    fd: str = "oracle"  # any registered failure detector
-    fd_delay: float = 0.05  # oracle detection delay
-    heartbeat_period: float = 0.02
-    heartbeat_timeout: float = 0.1
-    record_history: bool = True
-    stability_interval: Optional[float] = None
-    """Enable stability tracking (watermark gossip + stable-message GC)
-    at this period; None reproduces the paper's protocol exactly."""
-
-    viewchange_retry: Optional[float] = None
-    """Re-send INIT/PRED for an open view change at this period; None (the
-    default, matching the paper's reliable channels) never retransmits.
-    Set it when running over the lossy links of :mod:`repro.faults`."""
-
-    latency_model: str = "constant"
-    """Named latency model; ``"constant"`` reads its value from ``latency``."""
-
-    latency_params: Optional[Dict[str, Any]] = None
-    """Extra keyword arguments for the latency-model factory."""
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("a group needs at least one member")
-        if self.latency < 0:
-            raise ValueError(f"latency must be non-negative: {self.latency!r}")
-        if self.consensus_delay < 0:
-            raise ValueError(
-                f"consensus_delay must be non-negative: {self.consensus_delay!r}"
-            )
-        if self.fd_delay < 0:
-            raise ValueError(f"fd_delay must be non-negative: {self.fd_delay!r}")
-        if self.heartbeat_period <= 0:
-            raise ValueError(
-                f"heartbeat_period must be positive: {self.heartbeat_period!r}"
-            )
-        if self.heartbeat_timeout <= 0:
-            raise ValueError(
-                f"heartbeat_timeout must be positive: {self.heartbeat_timeout!r}"
-            )
-        # Validated here (not only in SVSProcess) so every construction
-        # path — including context-built stacks that skip per-process
-        # re-validation — rejects it up front.
-        if self.stability_interval is not None and self.stability_interval <= 0:
-            raise ValueError(
-                f"stability_interval must be positive: {self.stability_interval!r}"
-            )
-        if self.viewchange_retry is not None:
-            check_positive(self.viewchange_retry, "viewchange_retry")
-        # Raise early (with the list of registered names) on unknown backends.
-        consensus_protocols.get(self.consensus)
-        failure_detectors.get(self.fd)
-        latency_models.get(self.latency_model)
 
 
 class GroupStack:
     """A fully wired group of SVS processes over one simulator.
 
-    ``context`` is an optional pre-validated
-    :class:`~repro.gcs.context.RunContext`: when given, the relation is
-    already resolved, the initial view is shared, and no configuration is
-    re-validated — the fast path sweep cells use to build one stack per
-    replicate seed (pass ``seed`` to override the context config's seed
-    without re-deriving anything else).
+    ``relation`` is an :class:`~repro.core.obsolescence.ObsolescenceRelation`
+    instance, used as given, or a registry name created with default
+    parameters.  ``config`` defaults to ``StackConfig()``; the simulator
+    runs under ``config.seed``.
 
     ``sim`` and ``network`` inject an alternative substrate — a
     :class:`~repro.transport.clock.WallClock` plus a
@@ -145,32 +75,18 @@ class GroupStack:
 
     def __init__(
         self,
-        relation: Union[ObsolescenceRelation, str, None] = None,
+        relation: Union[ObsolescenceRelation, str],
         config: Optional[StackConfig] = None,
-        context: Optional["RunContext"] = None,
-        seed: Optional[int] = None,
         sim: Optional[Simulator] = None,
         network: Optional[Network] = None,
         pids: Optional[Iterable[ProcessId]] = None,
     ) -> None:
-        if context is not None:
-            self.config = context.config
-            self.relation = context.relation
-            self.initial_view = context.initial_view
-            stack_seed = seed if seed is not None else self.config.seed
-        else:
-            if relation is None:
-                raise ValueError("GroupStack needs a relation (or a context)")
-            if isinstance(relation, str):
-                relation = relation_registry.create(relation)
-            self.config = config or StackConfig()
-            self.relation = relation
-            self.initial_view = View(0, frozenset(range(self.config.n)))
-            stack_seed = seed if seed is not None else self.config.seed
-        #: The seed this stack actually runs under (== ``config.seed``
-        #: unless overridden for a replicate).
-        self.seed = stack_seed
-        self.sim = sim if sim is not None else Simulator(seed=stack_seed)
+        if isinstance(relation, str):
+            relation = relation_registry.create(relation)
+        self.config = config or StackConfig()
+        self.relation = relation
+        self.initial_view = View(0, frozenset(range(self.config.n)))
+        self.sim = sim if sim is not None else Simulator(seed=self.config.seed)
         if network is not None:
             self.network = network
         else:
@@ -211,7 +127,6 @@ class GroupStack:
                 listeners=listeners,
                 stability_interval=self.config.stability_interval,
                 viewchange_retry=self.config.viewchange_retry,
-                ctx=context,
             )
             self.processes[pid] = proc
 

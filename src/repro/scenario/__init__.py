@@ -33,10 +33,9 @@ mid-run triggers), :meth:`Scenario.build` returns the wired
     result = live.run(until=10.0)
 
 Every named component (relation, consensus, failure detector, latency
-model, workload) resolves through :mod:`repro.registry`; repeated builds
-of the same configuration share a validated
-:class:`~repro.gcs.context.RunContext`, so sweep replicates skip
-re-validation (see ``docs/kernel.md``).
+model, workload) resolves through :mod:`repro.registry`.  Each build
+validates its :class:`~repro.gcs.stack.StackConfig` and wires a fresh
+:class:`~repro.gcs.stack.GroupStack`, so two builds share no state.
 
 See :mod:`repro.scenario.builder` for the full fluent API and
 :mod:`repro.scenario.result` for the result schema.

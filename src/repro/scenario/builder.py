@@ -69,7 +69,6 @@ from repro.faults.plan import (
     Recover as RecoverEvent,
     ViewChange as ViewChangeEvent,
 )
-from repro.gcs.context import RunContext
 from repro.gcs.endpoint import GroupEndpoint, RateLimitedConsumer
 from repro.gcs.stack import GroupStack, StackConfig
 from repro.metrics.collectors import TimeWeightedStat
@@ -627,8 +626,6 @@ class LiveScenario:
                 ) from None
             self.clock.add_runner(self.transport)
             self.network = TransportNetwork(self.clock, self.transport)
-            # No RunContext caching here: a live stack binds sockets and
-            # timers to this one run, so nothing about it is reusable.
             self.stack = GroupStack(
                 relation, config, sim=self.clock, network=self.network
             )
@@ -636,14 +633,6 @@ class LiveScenario:
                 self.stack, self.network, **spec._runtime_params
             )
             self.runtime.start()
-        elif self._cacheable_relation is not None:
-            # Registry-named relation + declarative config: reuse the
-            # validated per-configuration RunContext (seeds vary per
-            # replicate; the context does not).
-            ctx = RunContext.cached(
-                self._cacheable_relation, config, spec._relation_params
-            )
-            self.stack = GroupStack(context=ctx, seed=spec._seed)
         else:
             self.stack = GroupStack(relation, config)
         self.sim = self.stack.sim
@@ -740,7 +729,6 @@ class LiveScenario:
         wire representation was requested (stashed in ``self._annotated``)."""
         spec = self.spec
         self._annotated = None
-        self._cacheable_relation: Optional[str] = None
         relation = spec._relation
         workload = spec._trace_workload
         if workload is not None and workload.representation is not None:
@@ -751,7 +739,6 @@ class LiveScenario:
             if not spec._relation_explicit:
                 relation = encoder_relation
         if isinstance(relation, str):
-            self._cacheable_relation = relation
             relation = relation_registry.create(relation, **spec._relation_params)
         return relation
 
@@ -923,10 +910,9 @@ class LiveScenario:
             else {}
         )
         config = asdict(self.stack.config)
-        config["seed"] = self.stack.seed  # context configs share a seed field
         config["relation"] = type(self.stack.relation).__name__
         return ScenarioResult(
-            seed=self.stack.seed,
+            seed=self.stack.config.seed,
             n=self.stack.config.n,
             duration=duration,
             config=config,

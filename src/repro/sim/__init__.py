@@ -8,7 +8,7 @@ link layer, and the perturbation windows of :mod:`repro.sim.failure` that
 the declarative plans of :mod:`repro.faults` install.
 """
 
-from repro.sim.kernel import Event, EventHandle, SimulationError, Simulator
+from repro.sim.kernel import EventHandle, SimulationError, Simulator
 from repro.sim.network import (
     ConstantLatency,
     LatencyModel,
@@ -23,7 +23,6 @@ from repro.sim.failure import Perturbation, PerturbationSchedule, ScheduleError
 __all__ = [
     "Simulator",
     "SimulationError",
-    "Event",
     "EventHandle",
     "Network",
     "LatencyModel",

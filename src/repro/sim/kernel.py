@@ -53,7 +53,6 @@ from heapq import heappop, heappush
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 __all__ = [
-    "Event",
     "EventHandle",
     "Simulator",
     "SimulationError",
@@ -117,9 +116,6 @@ class EventHandle(list):
         state = " cancelled" if self[5] else ""
         return f"EventHandle(t={self[0]:.6f}, prio={self[1]}{state})"
 
-
-#: Alias kept for callers that import the record under its older name.
-Event = EventHandle
 
 #: Queue entries *are* the handles (see :class:`EventHandle`).
 _Entry = EventHandle

@@ -480,6 +480,21 @@ class NetworkBase:
             self._fault_rngs[channel] = rng
         return rng
 
+    # ------------------------------------------------------------------
+    # Introspection
+    # ------------------------------------------------------------------
+
+    def channel_stats(self, src: ProcessId, dst: ProcessId) -> ChannelStats:
+        """Counters of one channel; a zero view for never-used channels.
+
+        Reading must not mutate ``_stats``: inserting on lookup would make
+        introspection fabricate entries, inflating iteration and ``repr``.
+        The zero object is fresh per call and deliberately disconnected —
+        traffic on the channel later starts its own entry.
+        """
+        stats = self._stats.get((src, dst))
+        return stats if stats is not None else ChannelStats()
+
 
 class Network(NetworkBase):
     """Full mesh of reliable FIFO channels over a :class:`Simulator`.
@@ -805,7 +820,7 @@ class Network(NetworkBase):
         self._flush_groups()
         for lane in self._lanes.values():
             lane.settle()
-        return self._stats.setdefault((src, dst), ChannelStats())
+        return super().channel_stats(src, dst)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

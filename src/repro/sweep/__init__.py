@@ -62,9 +62,7 @@ stale fingerprints.  See ``docs/sweeps-cache.md``.
 When a cell dies inside a worker, the raised
 :class:`~repro.sweep.executor.SweepCellError` names the failing cell as a
 JSON dict plus its replicate and derived seed — copy the dict back into a
-single-cell sweep to reproduce.  A shared ``context`` object may expose a
-``prepare_worker()`` hook, invoked once per worker process (and once for
-serial runs), to warm per-process caches before the first cell runs.
+single-cell sweep to reproduce.
 
 The architecture and the kernel hot path behind cell execution are
 documented in ``docs/architecture.md`` and ``docs/kernel.md``.

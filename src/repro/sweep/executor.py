@@ -175,20 +175,6 @@ def _execute(
     return index, cell_index, run
 
 
-def _prepare_context(context: Any) -> None:
-    """Run the shared context's per-worker hook, if it declares one.
-
-    A ``context`` with a callable ``prepare_worker`` attribute (e.g. an
-    object wrapping a :class:`~repro.gcs.context.RunContext`) is invoked
-    exactly once per worker process (and once for a serial run) — the
-    place to warm caches or pre-validate configuration so the per-cell
-    path never repeats that work.
-    """
-    hook = getattr(context, "prepare_worker", None)
-    if callable(hook):
-        hook()
-
-
 # ----------------------------------------------------------------------
 # Driver
 # ----------------------------------------------------------------------
@@ -283,7 +269,6 @@ def run_sweep(
             record(index, cell_index, run)
 
         if workers is None or workers < 2:
-            _prepare_context(context)
             for task in pending:
                 index, cell_index, run = _execute(
                     runner, context, task, keep_results

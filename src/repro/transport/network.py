@@ -50,7 +50,6 @@ class TransportNetwork(NetworkBase):
 
     def __init__(self, clock: WallClock, transport: Transport) -> None:
         super().__init__(clock)
-        self.clock = clock
         self.transport = transport
         self._send_observers: List[SendObserver] = []
         self._receive_observers: List[SendObserver] = []
@@ -160,21 +159,6 @@ class TransportNetwork(NetworkBase):
         for observer in self._receive_observers:
             observer(src, dst, payload)
         proc._deliver(src, payload)
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-
-    def channel_stats(self, src: ProcessId, dst: ProcessId) -> ChannelStats:
-        """Counters of one channel; a zero view for never-used channels.
-
-        Reading must not mutate ``_stats``: inserting on lookup would make
-        introspection fabricate entries, inflating iteration and ``repr``.
-        The zero object is fresh per call and deliberately disconnected —
-        traffic on the channel later starts its own entry.
-        """
-        stats = self._stats.get((src, dst))
-        return stats if stats is not None else ChannelStats()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

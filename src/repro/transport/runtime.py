@@ -238,7 +238,7 @@ class LiveRuntime:
         next_backoff(retransmit_base, retransmit_factor, retransmit_cap)
         self.stack = stack
         self.network = network
-        self.clock: WallClock = network.clock
+        self.clock: WallClock = network.sim
         self.sync_interval = sync_interval
         self.sync_jitter = sync_jitter
         self.retransmit_base = retransmit_base

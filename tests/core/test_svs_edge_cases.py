@@ -8,6 +8,7 @@ purge/flush interactions, and the k-enumeration truncation hazard.
 import pytest
 
 from repro.core.buffers import DeliveryQueue
+from repro.core.svs import SVSProcess
 from repro.core.message import DataMessage, MessageId, ViewDelivery
 from repro.core.obsolescence import ItemTagging, KEnumeration, KEnumerationEncoder
 from repro.core.spec import check_all
@@ -18,6 +19,27 @@ from tests.conftest import make_data
 def build(n=3, **kwargs):
     config = StackConfig(n=n, consensus=kwargs.pop("consensus", "oracle"), **kwargs)
     return GroupStack(ItemTagging(), config)
+
+
+class TestParameterValidation:
+    @pytest.mark.parametrize("interval", [0.0, -1.0])
+    def test_nonpositive_stability_interval_rejected(self, interval):
+        """A hand-wired member checks its own timer period: a zero period
+        would reschedule the gossip timer at the same instant forever."""
+        stack = GroupStack(
+            ItemTagging(), StackConfig(n=2, consensus="oracle"), pids=[0]
+        )
+        with pytest.raises(ValueError, match="stability_interval"):
+            SVSProcess(
+                pid=1,
+                sim=stack.sim,
+                network=stack.network,
+                initial_view=stack.initial_view,
+                relation=stack.relation,
+                consensus_factory=stack[0]._consensus_factory,
+                fd=stack[0].fd,
+                stability_interval=interval,
+            )
 
 
 class TestConcurrentInitiators:

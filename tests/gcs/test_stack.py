@@ -5,6 +5,7 @@ import pytest
 from repro.core.obsolescence import ItemTagging
 from repro.core.spec import check_all
 from repro.gcs.stack import GroupStack, StackConfig
+from repro.registry import RegistryError
 
 
 class TestConfigValidation:
@@ -23,8 +24,26 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             StackConfig(fd="psychic")
 
+    def test_negative_stability_interval_rejected(self):
+        with pytest.raises(ValueError, match="stability_interval"):
+            StackConfig(consensus="oracle", stability_interval=-1.0)
+
+    def test_unknown_relation_name_rejected(self):
+        with pytest.raises(RegistryError):
+            GroupStack("no-such-relation", StackConfig(consensus="oracle"))
+
 
 class TestAssembly:
+    def test_instance_relation_used_as_given(self):
+        relation = ItemTagging()
+        stack = GroupStack(relation, StackConfig(n=2, consensus="oracle"))
+        assert stack.relation is relation
+        assert all(proc.relation is relation for proc in stack)
+
+    def test_simulator_runs_under_config_seed(self):
+        stack = GroupStack("item-tagging", StackConfig(seed=42, consensus="oracle"))
+        assert stack.sim.seed == 42
+
     def test_all_processes_share_initial_view(self):
         stack = GroupStack(ItemTagging(), StackConfig(n=4))
         for proc in stack:

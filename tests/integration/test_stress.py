@@ -17,7 +17,6 @@ or semantically purged, and nothing is left queued.
 
 import pytest
 
-from repro.gcs.context import RunContext
 from repro.gcs.stack import GroupStack, StackConfig
 
 STRESS_SCALES = {
@@ -31,24 +30,21 @@ def run_stress(
     senders,
     rounds,
     tag=lambda r, s: s % 17,
-    relation=None,
+    relation="item-tagging",
     latched=False,
 ):
     """One broadcast-storm run of the given shape.
 
     Senders ``0..senders-1`` multicast once per round with item tag
     ``tag(round, sender)``; tags repeat so backlogs are genuinely
-    purgeable, as in the game workload.  ``relation`` defaults to the
-    registry's item tagging; pass a relation *object* (e.g. a counting
-    wrapper) to observe the protocol.  ``latched`` touches a fault knob
-    with its no-op value first, so every multicast takes the network's
-    per-destination loop instead of the batched fan-out.
+    purgeable, as in the game workload.  ``relation`` is a registry name
+    or a relation *object* (e.g. a counting wrapper that observes the
+    protocol).  ``latched`` touches a fault knob with its no-op value
+    first, so every multicast takes the network's per-destination loop
+    instead of the batched fan-out.
     """
     config = StackConfig(n=n, seed=7, consensus="oracle", record_history=False)
-    if relation is None:
-        stack = RunContext.prepare("item-tagging", config).stack()
-    else:
-        stack = GroupStack(relation, config)
+    stack = GroupStack(relation, config)
     if latched:
         stack.network.set_drop_filter(None)
     sim = stack.sim

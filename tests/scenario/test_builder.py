@@ -4,7 +4,12 @@ import pytest
 
 from repro.core.obsolescence import ItemTagging, KEnumeration
 from repro.registry import RegistryError
-from repro.scenario import KNOWN_METRICS, Scenario, ScenarioError
+from repro.scenario import (
+    KNOWN_METRICS,
+    Scenario,
+    ScenarioError,
+    serialize_histories,
+)
 from repro.workload.patterns import periodic_updates
 
 
@@ -34,6 +39,15 @@ class TestValidation:
             "unexpected keyword argument 'engine'",
         ):
             Scenario().group(n=2, engine="v3").build()
+
+    def test_zero_stability_interval_rejected(self):
+        """A zero gossip period would reschedule its timer at the same
+        instant forever; the build must refuse it instead of hanging."""
+        with pytest.raises(ValueError, match="stability_interval"):
+            Scenario().group(
+                n=3, relation="item-tagging", consensus="oracle",
+                stability_interval=0.0,
+            ).run(until=1.0)
 
     def test_unknown_relation_name_fails_fast(self):
         with pytest.raises(RegistryError, match="obsolescence relation"):
@@ -125,6 +139,32 @@ class TestRelationResolution:
         live = Scenario().group(relation=relation, consensus="oracle").build()
         assert live.stack.relation is relation
 
+    def test_named_relation_with_params_matches_instance(self):
+        """A registry name plus relation_params and the equivalent
+        instance build the same stack: byte-identical histories."""
+
+        def histories(relation, **params):
+            live = (
+                Scenario()
+                .group(n=3, relation=relation, consensus="oracle", seed=3,
+                       **params)
+                .workload(
+                    periodic_updates(items=3, messages=40, rate=200.0),
+                    representation="k-enumeration", k=5,
+                )
+                .consumers(rate=150.0)
+                .crash(pid=2, at=0.1)
+                .view_change(at=0.12, pid=0)
+                .build()
+            )
+            live.run(until=1.0)
+            assert live.stack.relation.k == 5
+            return serialize_histories(live.stack.recorder)
+
+        named = histories("k-enumeration", relation_params={"k": 5})
+        assert named == histories(KEnumeration(k=5))
+        assert any(e["kind"] == "view" for e in named["0"][1:])
+
     def test_relation_params(self):
         live = (
             Scenario()
@@ -178,6 +218,27 @@ class TestRunAndMetrics:
         }
         assert result.metrics["throughput"]["offered"] == 2
         assert result.metrics["network"]["sent"] > 0
+
+    def test_config_reports_the_replicate_seed(self):
+        result = (
+            Scenario()
+            .group(n=2, relation="item-tagging", consensus="oracle", seed=42)
+            .run(until=0.5)
+        )
+        assert result.seed == 42
+        assert result.config["seed"] == 42
+
+    def test_two_builds_share_no_mutable_state(self):
+        scenario = Scenario().group(
+            n=2, relation="item-tagging", consensus="oracle", seed=1
+        )
+        a, b = scenario.build(), scenario.build()
+        assert a.stack.relation is not b.stack.relation
+        a.stack[0].multicast("only-in-a", 1)
+        a.run(until=1.0, drain=False)
+        assert a.stack.network.messages_sent > 0
+        assert b.stack.network.messages_sent == 0
+        assert b.stack[1].pending == 1  # just the initial VIEW notification
 
     def test_check_disabled_yields_none(self):
         result = tiny_scenario().check(False).run(until=1.0)

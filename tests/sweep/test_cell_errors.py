@@ -72,18 +72,6 @@ class TestCellErrorMessages:
 
 
 class TestPrepareWorkerHook:
-    def test_hook_called_once_serially(self):
-        calls = []
-
-        class Context:
-            def prepare_worker(self):
-                calls.append(1)
-
-        Sweep(seeds=2).axis("x", [1, 2]).run(
-            lambda p, s, c: {"v": 1.0}, workers=0, context=Context()
-        )
-        assert calls == [1]
-
     def test_mapping_context_without_hook_is_fine(self):
         result = Sweep(seeds=1).axis("x", [1]).run(
             lambda p, s, c: {"v": float(c["base"])}, workers=0, context={"base": 2}

@@ -64,22 +64,6 @@ def violates_on_even(params, seed, context):
     return out
 
 
-#: Set in each pool process by :meth:`PidContext.prepare_worker`.
-_PREPARED_PID = None
-
-
-class PidContext:
-    """A context whose ``prepare_worker`` hook stamps the hosting process."""
-
-    def prepare_worker(self):
-        global _PREPARED_PID
-        _PREPARED_PID = os.getpid()
-
-
-def prepared_here(params, seed, context):
-    return {"prepared": float(_PREPARED_PID == os.getpid())}
-
-
 def tasks_for(sweep):
     """The executor's task list for ``sweep``: (index, cell, params, rep, seed)."""
     tasks = []
@@ -293,16 +277,6 @@ class TestPoolOptions:
     def test_raised_violation_names_the_cell(self):
         with pytest.raises(SweepInvariantError, match="synthetic violation"):
             run_sweep(small_sweep(), violates_on_even, workers=2)
-
-    def test_prepare_worker_runs_in_every_pool_process(self):
-        result = Sweep().axis("x", list(range(8))).run(
-            prepared_here, workers=2, context=PidContext()
-        )
-        assert all(
-            run.metrics["prepared"] == 1.0
-            for cell in result.cells
-            for run in cell.runs
-        )
 
     def test_more_workers_than_runs(self):
         sweep = Sweep(base={"k": 1}).axis("x", [1, 2])

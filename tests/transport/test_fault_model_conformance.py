@@ -7,7 +7,8 @@ through :class:`~repro.sim.network.NetworkBase`.  Every behaviour below runs
 against both: the simulated network over a :class:`Simulator`, the live one
 over a :class:`WallClock` and a transport that records frames instead of
 moving them.  A message "arrives" when the sim network delivers it or the
-live network hands its frame to the transport.
+live network hands its frame to the transport.  Both also read their
+per-channel counters the same way, without mutating them.
 """
 
 import math
@@ -15,7 +16,7 @@ import math
 import pytest
 
 from repro.sim.kernel import Simulator
-from repro.sim.network import Network
+from repro.sim.network import ChannelStats, Network
 from repro.sim.process import SimProcess
 from repro.transport.clock import WallClock
 from repro.transport.framing import unpack
@@ -196,6 +197,36 @@ class TestLinkFaultPolicy:
         assert net.messages_dropped == one.dropped + 5
         assert net.messages_duplicated == one.duplicated
         assert len(arrived) == 60 - one.dropped + one.duplicated
+
+
+class TestChannelStatsZeroView:
+    """Reading a channel's counters never mutates what it reports."""
+
+    def test_read_does_not_insert(self, make_world):
+        net = make_world().net
+        assert net.channel_stats(0, 1) == ChannelStats()
+        assert net._stats == {}, "introspection fabricated a stats entry"
+
+    def test_repeated_reads_do_not_grow_the_table(self, make_world):
+        net = make_world().net
+        for dst in range(50):
+            net.channel_stats(0, dst)
+        assert len(net._stats) == 0
+
+    def test_zero_view_is_disconnected_from_later_traffic(self, make_world):
+        net = make_world().net
+        zero = net.channel_stats(0, 1)
+        net.send(0, 1, "ping")
+        assert zero.sent == 0, "zero view aliased the live entry"
+        assert net.channel_stats(0, 1).sent == 1
+
+    def test_used_channels_still_share_the_live_entry(self, make_world):
+        net = make_world().net
+        net.send(0, 1, "ping")
+        live = net.channel_stats(0, 1)
+        net.send(0, 1, "pong")
+        assert live.sent == 2
+        assert len(net._stats) == 1
 
 
 @pytest.mark.parametrize("seed", [0, 7])
