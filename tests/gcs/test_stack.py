@@ -74,6 +74,31 @@ class TestAssembly:
         assert len(detectors) == 1
 
 
+class TestPartialHosting:
+    CONFIG = StackConfig(n=3, consensus="chandra-toueg", fd="heartbeat")
+
+    def test_pids_restrict_local_members(self):
+        stack = GroupStack("item-tagging", self.CONFIG, pids=[2, 0, 2])
+        assert stack.members == [0, 2]
+        assert sorted(stack.network.pids) == [0, 2]
+        # Hosting fewer members does not shrink the group itself.
+        for proc in stack:
+            assert proc.cv.members == frozenset(range(3))
+
+    @pytest.mark.parametrize(
+        "pids, message",
+        [
+            ([3], r"pids must lie in range\(3\): \[3\]"),
+            ([0, -1], r"pids must lie in range\(3\): \[-1\]"),
+            ([], "at least one local member"),
+        ],
+        ids=["beyond-n", "negative", "empty"],
+    )
+    def test_bad_pids_rejected(self, pids, message):
+        with pytest.raises(ValueError, match=message):
+            GroupStack("item-tagging", self.CONFIG, pids=pids)
+
+
 @pytest.mark.parametrize("consensus", ["oracle", "chandra-toueg"])
 @pytest.mark.parametrize("fd", ["oracle", "heartbeat"])
 class TestSubstrateMatrix:
