@@ -5,9 +5,11 @@ from repro.analysis.experiments import (
     ablation_k,
     ablation_players,
     ablation_representation,
+    churn_table,
     default_trace,
     figure_3a,
     figure_3b,
+    figure_4_sweep,
     figure_4a,
     figure_4b,
     figure_5a,
@@ -39,11 +41,13 @@ __all__ = [
     "workload_stats",
     "figure_3a",
     "figure_3b",
+    "figure_4_sweep",
     "figure_4a",
     "figure_4b",
     "figure_5a",
     "figure_5b",
     "view_change_latency_table",
+    "churn_table",
     "ablation_k",
     "ablation_representation",
     "ablation_players",

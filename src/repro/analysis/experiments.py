@@ -13,35 +13,25 @@ pass your own :class:`~repro.workload.trace.Trace` to reproduce them on
 other workloads.  The full-stack experiments (the view-change table) are
 assembled with the declarative :class:`~repro.scenario.Scenario` builder.
 
-Every grid-shaped experiment (Figures 4 and 5, the view-change table, the
-ablations) is expressed as a :class:`~repro.sweep.Sweep` over a
-module-level cell function, so each accepts ``workers=N`` to farm its
-cells out to a process pool — ``figure_5a(workers=4)`` reproduces the
-paper's buffer sweep in a quarter of the serial wall-clock, with the trace
-shipped to each worker once.  The cell functions double as reusable sweep
-runners: ``Sweep(...).run(_figure_4_cell, context=trace)`` is the raw form
-of :func:`figure_4a`.  Results are identical for any worker count.
-
-Every grid experiment also accepts ``cache=`` — a directory path or
-:class:`~repro.sweep.cache.SweepCache` — to memoise (cell, replicate)
-runs by content address: ``figure_4a(cache=".sweep-cache")`` computes
-nothing the second time, and one cache serves all figures of a
-``reproduce_figures.py --cache DIR`` run (Figures 4(a) and 4(b) share
-their grid outright).  The trace context is folded into the keys via
-:meth:`~repro.workload.trace.Trace.cache_token`, so a ``--fast`` trace
-can never hit full-trace shards.
-
-Every entry point also accepts ``report=`` — a
-:class:`repro.report.ReportBuilder` — and appends its tables (with
-Student-t ``ci95_t`` confidence intervals for the sweep-backed figures)
-and figure-style charts to it; ``examples/reproduce_figures.py --report
-DIR`` threads one builder through every figure and writes the combined
-markdown + HTML report.
+Each entry point is one row of :data:`FIGURES`, in paper order: the row
+holds its printed title, its report heading, the column header, the notes
+and the chart, and :func:`_present` is the one code path that prints the
+rows (``show=True``) or appends them — as a Student-t CI table for the
+sweep-backed figures — to a :class:`repro.report.ReportBuilder`
+(``report=``).  Every entry point except :func:`workload_stats`,
+:func:`figure_3a` and :func:`figure_3b` is a :class:`~repro.sweep.Sweep`
+over a module-level cell function, so it also takes ``workers=N`` (a
+process pool; results are identical for any worker count) and ``cache=``
+(a directory or :class:`~repro.sweep.cache.SweepCache`, keyed on the
+trace's :meth:`~repro.workload.trace.Trace.cache_token`).
+``examples/reproduce_figures.py`` calls each row once, in table order.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+import math
+from dataclasses import dataclass
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.analysis.throughput import (
     ThroughputConfig,
@@ -49,11 +39,7 @@ from repro.analysis.throughput import (
     run_slow_receiver,
     threshold_rate,
 )
-from repro.analysis.viewchange import (
-    ViewChangeLatencyResult,
-    measure_view_change_latency,
-)
-from repro.registry import workloads
+from repro.analysis.viewchange import measure_view_change_latency
 from repro.sweep import Sweep, SweepResult
 from repro.workload.game import GameConfig, generate_game_trace
 from repro.workload.trace import (
@@ -61,7 +47,6 @@ from repro.workload.trace import (
     compute_stats,
     item_rank_profile,
     obsolescence_distances,
-    to_data_messages,
 )
 
 __all__ = [
@@ -107,85 +92,201 @@ def default_trace() -> Trace:
     return _default_trace
 
 
-def _report_rows(
-    report: Any,
-    heading: str,
-    header: Sequence[str],
-    rows: Sequence[Sequence[Any]],
-    notes: Optional[str] = None,
-    series: Optional[Sequence[Tuple[str, int]]] = None,
-    x_label: Optional[str] = None,
-    y_label: Optional[str] = None,
-    kind: str = "line",
-) -> None:
-    """Append one figure's table — and optionally a chart — to a builder.
+@dataclass(frozen=True)
+class RowChart:
+    """Chart the returned rows: ``series`` pairs each line's name with its
+    row column; column 0 is the x axis."""
 
-    ``series`` maps chart series names to row column indexes; column 0 is
-    the x axis.  NaN points are dropped from charts (they still show in
-    the table).  No-op when ``report`` is ``None`` so entry points can
-    thread the argument unconditionally.
+    series: Tuple[Tuple[str, int], ...]
+    x_label: str
+    y_label: str
+    kind: str = "line"
+
+
+@dataclass(frozen=True)
+class SweepChart:
+    """Chart a sweep's ``metric`` along ``x``, one line per protocol."""
+
+    x: str
+    metric: str
+
+
+@dataclass(frozen=True)
+class Figure:
+    """How one entry point presents its rows: ``title`` is printed and
+    ``heading`` (by default the title) heads its report section; both,
+    like ``notes``, are :meth:`str.format` templates over the entry
+    point's arguments."""
+
+    name: str
+    title: str
+    header: Tuple[str, ...]
+    heading: Optional[str] = None
+    notes: Optional[str] = None
+    chart: Union[RowChart, SweepChart, None] = None
+
+
+#: One row per entry point, in the paper's order — the order
+#: ``examples/reproduce_figures.py`` calls them in.
+FIGURES = (
+    Figure(
+        "workload_stats",
+        "Section 5.2 workload characterisation",
+        ("metric", "paper", "measured"),
+        heading="Section 5.2 — workload characterisation",
+        notes="Paper values are the 5-player Quake session aggregates.",
+    ),
+    Figure(
+        "figure_3a",
+        "Figure 3(a) — item rank vs % of rounds modified",
+        ("rank", "% of rounds"),
+        chart=RowChart((("% of rounds modified", 1),), "item rank", "% of rounds"),
+    ),
+    Figure(
+        "figure_3b",
+        "Figure 3(b) — distance to closest related message",
+        ("distance", "% of messages"),
+        chart=RowChart(
+            (("% of messages", 1),), "distance (messages)", "% of messages", "bar"
+        ),
+    ),
+    Figure(
+        "figure_4a",
+        "Figure 4(a) — producer idle % (buffer={buffer_size})",
+        ("consumer msg/s", "reliable", "semantic"),
+        chart=SweepChart("consumer_rate", "producer_idle_pct"),
+    ),
+    Figure(
+        "figure_4b",
+        "Figure 4(b) — buffer occupancy in messages (buffer={buffer_size})",
+        ("consumer msg/s", "reliable", "semantic"),
+        chart=SweepChart("consumer_rate", "mean_occupancy"),
+    ),
+    Figure(
+        "figure_5a",
+        "Figure 5(a) — threshold consumer rate (mean input "
+        "{mean_rate:.1f} msg/s; paper at B=15: reliable 73, semantic 28)",
+        ("buffer (msg)", "reliable", "semantic"),
+        heading="Figure 5(a) — threshold consumer rate vs buffer size",
+        notes="Paper at B=15: reliable 73 msg/s, semantic 28 msg/s.",
+        chart=SweepChart("buffer_size", "threshold_rate"),
+    ),
+    Figure(
+        "figure_5b",
+        "Figure 5(b) — tolerated perturbation in ms "
+        "(paper at B=24: reliable 342, semantic 857)",
+        ("buffer (msg)", "reliable (ms)", "semantic (ms)"),
+        heading="Figure 5(b) — tolerated perturbation vs buffer size",
+        notes="Paper at B=24: reliable 342 ms, semantic 857 ms.",
+        chart=SweepChart("buffer_size", "tolerance_s"),
+    ),
+    Figure(
+        "view_change_latency_table",
+        "View change under load (slow consumer at {slow_rate} msg/s)",
+        ("protocol", "backlog (msg)", "purged", "app latency (s)"),
+        heading="View change under load (slow consumer at {slow_rate:g} msg/s)",
+    ),
+    Figure(
+        "churn_table",
+        "Churn — partition-heal cycles, view change triggered "
+        "mid-partition (3 cycles, half-period cuts)",
+        ("period (s)", "loss", "rel dlvd/min", "sem dlvd/min",
+         "rel vc (ms)", "sem vc (ms)", "sem purged"),
+        heading="Churn — partition-heal cycles, view change mid-partition",
+        notes="3 cycles, half-period cuts; latency is trigger to full "
+        "installation.",
+    ),
+    Figure(
+        "ablation_k",
+        "Ablation — k-enumeration window (buffer={buffer_size}, "
+        "consumer={consumer_rate} msg/s; paper's k = {paper_k})",
+        ("k", "purge ratio", "producer idle %"),
+        heading="Ablation — k-enumeration window (buffer={buffer_size})",
+        notes="Paper's choice is k = 2×buffer = {paper_k}.",
+    ),
+    Figure(
+        "ablation_representation",
+        "Ablation — representation (buffer={buffer_size}, "
+        "consumer={consumer_rate} msg/s)",
+        ("representation", "purge ratio", "producer idle %"),
+        heading="Ablation — obsolescence representation (buffer={buffer_size})",
+    ),
+    Figure(
+        "ablation_players",
+        "Ablation — player-count scaling",
+        ("players", "msg/s", "never-obs %", "mean distance"),
+    ),
+)
+
+_BY_NAME = {figure.name: figure for figure in FIGURES}
+
+
+def _present(figure, rows, *, show, report, sweep=None, **fields) -> List[Any]:
+    """Print ``rows`` and append them to ``report`` — the only code that
+    does either — and return them.  ``fields`` fill the templates; given
+    ``sweep``, the report holds its Student-t CI table rather than the
+    rows.  NaN points are left out of row charts, not of tables.
     """
+    if show:
+        print(f"\n== {figure.title.format(**fields)} ==")
+        print("  ".join(f"{h:>14}" for h in figure.header))
+        for row in rows:
+            print("  ".join(
+                f"{v:>14.2f}" if isinstance(v, float) else f"{v!s:>14}"
+                for v in row
+            ))
     if report is None:
-        return
-    report.add_table(heading, header, rows, notes=notes)
-    if series:
+        return rows
+    heading = (figure.heading or figure.title).format(**fields)
+    notes = figure.notes and figure.notes.format(**fields)
+    chart = figure.chart
+    if sweep is not None:
+        axes = {} if chart is None else dict(
+            metrics=[chart.metric], x=chart.x, series="semantic",
+            chart_metric=chart.metric,
+        )
+        report.add_sweep(heading, sweep, notes=notes, **axes)
+        return rows
+    report.add_table(heading, figure.header, rows, notes=notes)
+    if chart is not None:
         from repro.report.model import Chart
 
-        chart_series = []
-        for name, col in series:
-            points = [
-                (float(row[0]), float(row[col]))
-                for row in rows
-                if float(row[col]) == float(row[col])
-            ]
-            chart_series.append((name, points))
-        report.add_chart(
-            f"{heading} — chart",
-            Chart(
-                title=heading,
-                series=chart_series,
-                x_label=x_label or str(header[0]),
-                y_label=y_label or "",
-                kind=kind,
-            ),
-        )
+        series = [
+            (name, [(float(r[0]), float(r[col])) for r in rows
+                    if not math.isnan(r[col])])
+            for name, col in chart.series
+        ]
+        report.add_chart(f"{heading} — chart", Chart(
+            heading, series, chart.x_label, chart.y_label, chart.kind
+        ))
+    return rows
 
 
-def _report_sweep(
-    report: Any,
-    heading: str,
-    sweep: SweepResult,
-    metrics: Optional[Sequence[str]] = None,
-    x: Optional[str] = None,
-    series: Optional[str] = None,
-    chart_metric: Optional[str] = None,
-    notes: Optional[str] = None,
-) -> None:
-    """Append a sweep's Student-t CI table (and chart) to a builder."""
-    if report is None:
-        return
-    report.add_sweep(
-        heading,
-        sweep,
-        metrics=metrics,
-        x=x,
-        series=series,
-        chart_metric=chart_metric,
-        notes=notes,
-    )
+def _grid(cell, context, workers, cache, base=None, **axes) -> SweepResult:
+    """Run ``cell`` over ``base`` × ``axes``, axes in keyword order."""
+    return Sweep(base, axes).run(cell, workers=workers, context=context, cache=cache)
 
 
-def _print_rows(title: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    print(f"\n== {title} ==")
-    print("  ".join(f"{h:>14}" for h in header))
-    for row in rows:
-        cells = []
-        for value in row:
-            if isinstance(value, float):
-                cells.append(f"{value:>14.2f}")
-            else:
-                cells.append(f"{value!s:>14}")
-        print("  ".join(cells))
+def _by_protocol(sweep, axis, values, metric, convert) -> List[Tuple]:
+    """Rows ``(value, reliable, semantic)`` of ``metric`` along ``axis``."""
+    return [
+        (value, *(
+            convert(sweep.select(**{axis: value}, semantic=semantic).value(metric))
+            for semantic in (False, True)
+        ))
+        for value in values
+    ]
+
+
+def _along(sweep, axis, values, **digits) -> List[Tuple]:
+    """Rows ``(value, metric, …)``, each metric rounded to its digits."""
+    return [
+        (value, *(
+            round(sweep.select(**{axis: value}).value(metric), places)
+            for metric, places in digits.items()
+        ))
+        for value in values
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -202,38 +303,18 @@ def workload_stats(
     trace = trace or default_trace()
     stats = compute_stats(trace)
     rows = [
-        ("rounds", PAPER_WORKLOAD["rounds"], stats.rounds),
-        ("messages/s", PAPER_WORKLOAD["message_rate"], round(stats.message_rate, 2)),
-        (
-            "modified items/round",
-            PAPER_WORKLOAD["mean_modified_per_round"],
-            round(stats.mean_modified_per_round, 2),
-        ),
-        (
-            "active items",
-            PAPER_WORKLOAD["mean_active_items"],
-            round(stats.mean_active_items, 2),
-        ),
-        (
-            "never obsolete (%)",
-            PAPER_WORKLOAD["never_obsolete_pct"],
-            round(100 * stats.never_obsolete_share, 2),
-        ),
-    ]
-    if show:
-        _print_rows(
-            "Section 5.2 workload characterisation",
-            ("metric", "paper", "measured"),
-            rows,
+        (label, PAPER_WORKLOAD[key], round(value, 2))
+        for label, key, value in (
+            ("rounds", "rounds", stats.rounds),
+            ("messages/s", "message_rate", stats.message_rate),
+            ("modified items/round", "mean_modified_per_round",
+             stats.mean_modified_per_round),
+            ("active items", "mean_active_items", stats.mean_active_items),
+            ("never obsolete (%)", "never_obsolete_pct",
+             100 * stats.never_obsolete_share),
         )
-    _report_rows(
-        report,
-        "Section 5.2 — workload characterisation",
-        ("metric", "paper", "measured"),
-        rows,
-        notes="Paper values are the 5-player Quake session aggregates.",
-    )
-    return rows
+    ]
+    return _present(_BY_NAME["workload_stats"], rows, show=show, report=report)
 
 
 def figure_3a(
@@ -245,22 +326,7 @@ def figure_3a(
     """Figure 3(a): frequency of item modifications by rank."""
     trace = trace or default_trace()
     rows = item_rank_profile(trace, top=top)
-    if show:
-        _print_rows(
-            "Figure 3(a) — item rank vs % of rounds modified",
-            ("rank", "% of rounds"),
-            rows,
-        )
-    _report_rows(
-        report,
-        "Figure 3(a) — item rank vs % of rounds modified",
-        ("rank", "% of rounds"),
-        rows,
-        series=[("% of rounds modified", 1)],
-        x_label="item rank",
-        y_label="% of rounds",
-    )
-    return rows
+    return _present(_BY_NAME["figure_3a"], rows, show=show, report=report)
 
 
 def figure_3b(
@@ -273,23 +339,7 @@ def figure_3b(
     trace = trace or default_trace()
     hist = obsolescence_distances(trace, max_distance=max_distance)
     rows = [(d, round(p, 2)) for d, p in hist.percentages()]
-    if show:
-        _print_rows(
-            "Figure 3(b) — distance to closest related message",
-            ("distance", "% of messages"),
-            rows,
-        )
-    _report_rows(
-        report,
-        "Figure 3(b) — distance to closest related message",
-        ("distance", "% of messages"),
-        rows,
-        series=[("% of messages", 1)],
-        x_label="distance (messages)",
-        y_label="% of messages",
-        kind="bar",
-    )
-    return rows
+    return _present(_BY_NAME["figure_3b"], rows, show=show, report=report)
 
 
 # ----------------------------------------------------------------------
@@ -328,30 +378,25 @@ def figure_4_sweep(
 ) -> SweepResult:
     """The full Figure 4 grid (both panels read from it)."""
     trace = trace or default_trace()
-    return (
-        Sweep(base={"buffer_size": buffer_size})
-        .axis("consumer_rate", list(rates))
-        .axis("semantic", [False, True])
-        .run(
-            _figure_4_cell,
-            workers=workers,
-            context=trace,
-            cache=cache,
-        )
+    return _grid(
+        _figure_4_cell, trace, workers, cache,
+        base={"buffer_size": buffer_size},
+        consumer_rate=rates, semantic=[False, True],
     )
 
 
-def _figure_4_rows(
-    sweep: SweepResult, rates: Sequence[int], metric: str
-) -> List[Tuple[int, float, float]]:
-    return [
-        (
-            rate,
-            round(sweep.select(consumer_rate=rate, semantic=False).value(metric), 2),
-            round(sweep.select(consumer_rate=rate, semantic=True).value(metric), 2),
-        )
-        for rate in rates
-    ]
+def _figure_4(name, trace, buffer_size, rates, show, workers, cache, report):
+    """Both Figure 4 panels: the same grid, one metric each."""
+    figure = _BY_NAME[name]
+    sweep = figure_4_sweep(trace, buffer_size, rates, workers, cache)
+    rows = _by_protocol(
+        sweep, "consumer_rate", rates, figure.chart.metric,
+        lambda value: round(value, 2),
+    )
+    return _present(
+        figure, rows, show=show, report=report, sweep=sweep,
+        buffer_size=buffer_size,
+    )
 
 
 def figure_4a(
@@ -364,24 +409,8 @@ def figure_4a(
     report: Any = None,
 ) -> List[Tuple[int, float, float]]:
     """Figure 4(a): producer idle % vs consumer rate, reliable vs semantic."""
-    sweep = figure_4_sweep(trace, buffer_size, rates, workers, cache)
-    rows = _figure_4_rows(sweep, rates, "producer_idle_pct")
-    if show:
-        _print_rows(
-            f"Figure 4(a) — producer idle % (buffer={buffer_size})",
-            ("consumer msg/s", "reliable", "semantic"),
-            rows,
-        )
-    _report_sweep(
-        report,
-        f"Figure 4(a) — producer idle % (buffer={buffer_size})",
-        sweep,
-        metrics=["producer_idle_pct"],
-        x="consumer_rate",
-        series="semantic",
-        chart_metric="producer_idle_pct",
-    )
-    return rows
+    return _figure_4("figure_4a", trace, buffer_size, rates,
+                     show, workers, cache, report)
 
 
 def figure_4b(
@@ -394,24 +423,8 @@ def figure_4b(
     report: Any = None,
 ) -> List[Tuple[int, float, float]]:
     """Figure 4(b): mean buffer occupancy vs consumer rate."""
-    sweep = figure_4_sweep(trace, buffer_size, rates, workers, cache)
-    rows = _figure_4_rows(sweep, rates, "mean_occupancy")
-    if show:
-        _print_rows(
-            f"Figure 4(b) — buffer occupancy in messages (buffer={buffer_size})",
-            ("consumer msg/s", "reliable", "semantic"),
-            rows,
-        )
-    _report_sweep(
-        report,
-        f"Figure 4(b) — buffer occupancy in messages (buffer={buffer_size})",
-        sweep,
-        metrics=["mean_occupancy"],
-        x="consumer_rate",
-        series="semantic",
-        chart_metric="mean_occupancy",
-    )
-    return rows
+    return _figure_4("figure_4b", trace, buffer_size, rates,
+                     show, workers, cache, report)
 
 
 # ----------------------------------------------------------------------
@@ -442,44 +455,15 @@ def figure_5a(
 ) -> List[Tuple[int, int, int]]:
     """Figure 5(a): minimum tolerable consumer rate vs buffer size."""
     trace = trace or default_trace()
-    sweep = (
-        Sweep()
-        .axis("buffer_size", list(buffers))
-        .axis("semantic", [False, True])
-        .run(
-            _figure_5a_cell,
-            workers=workers,
-            context=trace,
-            cache=cache,
-        )
+    sweep = _grid(
+        _figure_5a_cell, trace, workers, cache,
+        buffer_size=buffers, semantic=[False, True],
     )
-    rows = [
-        (
-            buffer_size,
-            int(sweep.select(buffer_size=buffer_size, semantic=False).value("threshold_rate")),
-            int(sweep.select(buffer_size=buffer_size, semantic=True).value("threshold_rate")),
-        )
-        for buffer_size in buffers
-    ]
-    if show:
-        mean_rate = trace.message_rate
-        _print_rows(
-            f"Figure 5(a) — threshold consumer rate (mean input "
-            f"{mean_rate:.1f} msg/s; paper at B=15: reliable 73, semantic 28)",
-            ("buffer (msg)", "reliable", "semantic"),
-            rows,
-        )
-    _report_sweep(
-        report,
-        "Figure 5(a) — threshold consumer rate vs buffer size",
-        sweep,
-        metrics=["threshold_rate"],
-        x="buffer_size",
-        series="semantic",
-        chart_metric="threshold_rate",
-        notes="Paper at B=15: reliable 73 msg/s, semantic 28 msg/s.",
+    rows = _by_protocol(sweep, "buffer_size", buffers, "threshold_rate", int)
+    return _present(
+        _BY_NAME["figure_5a"], rows, show=show, report=report, sweep=sweep,
+        mean_rate=trace.message_rate,
     )
-    return rows
 
 
 def _figure_5b_cell(
@@ -507,43 +491,17 @@ def figure_5b(
 ) -> List[Tuple[int, float, float]]:
     """Figure 5(b): tolerated full-stop perturbation length vs buffer size."""
     trace = trace or default_trace()
-    sweep = (
-        Sweep(base={"probes": probes})
-        .axis("buffer_size", list(buffers))
-        .axis("semantic", [False, True])
-        .run(
-            _figure_5b_cell,
-            workers=workers,
-            context=trace,
-            cache=cache,
-        )
+    sweep = _grid(
+        _figure_5b_cell, trace, workers, cache,
+        base={"probes": probes}, buffer_size=buffers, semantic=[False, True],
     )
-    rows = [
-        (
-            buffer_size,
-            round(sweep.select(buffer_size=buffer_size, semantic=False).value("tolerance_s") * 1000, 1),
-            round(sweep.select(buffer_size=buffer_size, semantic=True).value("tolerance_s") * 1000, 1),
-        )
-        for buffer_size in buffers
-    ]
-    if show:
-        _print_rows(
-            "Figure 5(b) — tolerated perturbation in ms "
-            "(paper at B=24: reliable 342, semantic 857)",
-            ("buffer (msg)", "reliable (ms)", "semantic (ms)"),
-            rows,
-        )
-    _report_sweep(
-        report,
-        "Figure 5(b) — tolerated perturbation vs buffer size",
-        sweep,
-        metrics=["tolerance_s"],
-        x="buffer_size",
-        series="semantic",
-        chart_metric="tolerance_s",
-        notes="Paper at B=24: reliable 342 ms, semantic 857 ms.",
+    rows = _by_protocol(
+        sweep, "buffer_size", buffers, "tolerance_s",
+        lambda seconds: round(seconds * 1000, 1),
     )
-    return rows
+    return _present(
+        _BY_NAME["figure_5b"], rows, show=show, report=report, sweep=sweep
+    )
 
 
 # ----------------------------------------------------------------------
@@ -580,15 +538,10 @@ def view_change_latency_table(
 ) -> List[Tuple[str, int, int, float]]:
     """View change under load: backlog, purges, app-perceived latency."""
     trace = trace or default_trace()
-    sweep = (
-        Sweep(base={"slow_rate": slow_rate, "load_time": load_time})
-        .axis("semantic", [False, True])
-        .run(
-            _view_change_cell,
-            workers=workers,
-            context=trace,
-            cache=cache,
-        )
+    sweep = _grid(
+        _view_change_cell, trace, workers, cache,
+        base={"slow_rate": slow_rate, "load_time": load_time},
+        semantic=[False, True],
     )
     rows = []
     for semantic in (False, True):
@@ -601,19 +554,10 @@ def view_change_latency_table(
                 round(cell.value("slow_app_latency"), 3),
             )
         )
-    if show:
-        _print_rows(
-            f"View change under load (slow consumer at {slow_rate} msg/s)",
-            ("protocol", "backlog (msg)", "purged", "app latency (s)"),
-            rows,
-        )
-    _report_sweep(
-        report,
-        f"View change under load (slow consumer at "
-        f"{slow_rate:g} msg/s)",
-        sweep,
+    return _present(
+        _BY_NAME["view_change_latency_table"], rows, show=show, report=report,
+        sweep=sweep, slow_rate=slow_rate,
     )
-    return rows
 
 
 # ----------------------------------------------------------------------
@@ -731,16 +675,9 @@ def churn_table(
     semantic relation keeps the slow member's delivery count lower-but-
     fresher exactly as in the paper's perturbation experiments.
     """
-    sweep = (
-        Sweep()
-        .axis("period", list(periods))
-        .axis("loss", list(losses))
-        .axis("semantic", [False, True])
-        .run(
-            _churn_cell,
-            workers=workers,
-            cache=cache,
-        )
+    sweep = _grid(
+        _churn_cell, None, workers, cache,
+        period=periods, loss=losses, semantic=[False, True],
     )
     rows = []
     for period in periods:
@@ -758,38 +695,7 @@ def churn_table(
                     int(semantic.value("purged")),
                 )
             )
-    if show:
-        _print_rows(
-            "Churn — partition-heal cycles, view change triggered "
-            "mid-partition (3 cycles, half-period cuts)",
-            (
-                "period (s)",
-                "loss",
-                "rel dlvd/min",
-                "sem dlvd/min",
-                "rel vc (ms)",
-                "sem vc (ms)",
-                "sem purged",
-            ),
-            rows,
-        )
-    _report_rows(
-        report,
-        "Churn — partition-heal cycles, view change mid-partition",
-        (
-            "period (s)",
-            "loss",
-            "rel dlvd/min",
-            "sem dlvd/min",
-            "rel vc (ms)",
-            "sem vc (ms)",
-            "sem purged",
-        ),
-        rows,
-        notes="3 cycles, half-period cuts; latency is trigger to full "
-        "installation.",
-    )
-    return rows
+    return _present(_BY_NAME["churn_table"], rows, show=show, report=report)
 
 
 # ----------------------------------------------------------------------
@@ -833,38 +739,17 @@ def ablation_k(
     purge ratio — and with it the idle percentage — collapses.
     """
     trace = trace or default_trace()
-    sweep = (
-        Sweep(base={"buffer_size": buffer_size, "consumer_rate": consumer_rate})
-        .axis("k", list(ks))
-        .run(
-            _ablation_cell,
-            workers=workers,
-            context=trace,
-            cache=cache,
-        )
+    sweep = _grid(
+        _ablation_cell, trace, workers, cache,
+        base={"buffer_size": buffer_size, "consumer_rate": consumer_rate},
+        k=ks,
     )
-    rows = [
-        (
-            k,
-            round(sweep.select(k=k).value("purge_ratio"), 3),
-            round(sweep.select(k=k).value("producer_idle_pct"), 2),
-        )
-        for k in ks
-    ]
-    if show:
-        _print_rows(
-            f"Ablation — k-enumeration window (buffer={buffer_size}, "
-            f"consumer={consumer_rate} msg/s; paper's k = {2 * buffer_size})",
-            ("k", "purge ratio", "producer idle %"),
-            rows,
-        )
-    _report_sweep(
-        report,
-        f"Ablation — k-enumeration window (buffer={buffer_size})",
-        sweep,
-        notes=f"Paper's choice is k = 2×buffer = {2 * buffer_size}.",
+    rows = _along(sweep, "k", ks, purge_ratio=3, producer_idle_pct=2)
+    return _present(
+        _BY_NAME["ablation_k"], rows, show=show, report=report, sweep=sweep,
+        buffer_size=buffer_size, consumer_rate=consumer_rate,
+        paper_k=2 * buffer_size,
     )
-    return rows
 
 
 def ablation_representation(
@@ -883,37 +768,19 @@ def ablation_representation(
     """
     trace = trace or default_trace()
     representations = ("tagging", "enumeration", "k-enumeration")
-    sweep = (
-        Sweep(base={"buffer_size": buffer_size, "consumer_rate": consumer_rate})
-        .axis("representation", list(representations))
-        .run(
-            _ablation_cell,
-            workers=workers,
-            context=trace,
-            cache=cache,
-        )
+    sweep = _grid(
+        _ablation_cell, trace, workers, cache,
+        base={"buffer_size": buffer_size, "consumer_rate": consumer_rate},
+        representation=representations,
     )
-    rows = [
-        (
-            representation,
-            round(sweep.select(representation=representation).value("purge_ratio"), 3),
-            round(sweep.select(representation=representation).value("producer_idle_pct"), 2),
-        )
-        for representation in representations
-    ]
-    if show:
-        _print_rows(
-            f"Ablation — representation (buffer={buffer_size}, "
-            f"consumer={consumer_rate} msg/s)",
-            ("representation", "purge ratio", "producer idle %"),
-            rows,
-        )
-    _report_sweep(
-        report,
-        f"Ablation — obsolescence representation (buffer={buffer_size})",
-        sweep,
+    rows = _along(
+        sweep, "representation", representations,
+        purge_ratio=3, producer_idle_pct=2,
     )
-    return rows
+    return _present(
+        _BY_NAME["ablation_representation"], rows, show=show, report=report,
+        sweep=sweep, buffer_size=buffer_size, consumer_rate=consumer_rate,
+    )
 
 
 def _players_cell(
@@ -946,29 +813,15 @@ def ablation_players(
     never-obsolete share decreases, and the distance between related
     messages increases.
     """
-    sweep = (
-        Sweep(base={"rounds": rounds})
-        .axis("players", list(players))
-        .run(
-            _players_cell,
-            workers=workers,
-            cache=cache,
-        )
+    sweep = _grid(
+        _players_cell, None, workers, cache,
+        base={"rounds": rounds}, players=players,
     )
-    rows = [
-        (
-            count,
-            round(sweep.select(players=count).value("message_rate"), 1),
-            round(sweep.select(players=count).value("never_obsolete_pct"), 1),
-            round(sweep.select(players=count).value("mean_obsolescence_distance"), 1),
-        )
-        for count in players
-    ]
-    if show:
-        _print_rows(
-            "Ablation — player-count scaling",
-            ("players", "msg/s", "never-obs %", "mean distance"),
-            rows,
-        )
-    _report_sweep(report, "Ablation — player-count scaling", sweep)
-    return rows
+    rows = _along(
+        sweep, "players", players,
+        message_rate=1, never_obsolete_pct=1, mean_obsolescence_distance=1,
+    )
+    return _present(
+        _BY_NAME["ablation_players"], rows, show=show, report=report,
+        sweep=sweep,
+    )

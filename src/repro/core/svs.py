@@ -209,8 +209,7 @@ class SVSProcess(SimProcess):
         if stability_interval is not None:
             from repro.gcs.stability import StabilityState, WatermarkTracker
 
-            if stability_interval <= 0:
-                raise ValueError("stability_interval must be positive")
+            check_positive(stability_interval, "stability_interval")
             self._stability = StabilityState(pid, WatermarkTracker())
             self.set_timer(
                 "stability", stability_interval, self._broadcast_stability

@@ -69,10 +69,8 @@ class StackConfig:
             )
         # Validated here as well as in SVSProcess, so a bad config fails
         # before any part of the stack is built.
-        if self.stability_interval is not None and self.stability_interval <= 0:
-            raise ValueError(
-                f"stability_interval must be positive: {self.stability_interval!r}"
-            )
+        if self.stability_interval is not None:
+            check_positive(self.stability_interval, "stability_interval")
         if self.viewchange_retry is not None:
             check_positive(self.viewchange_retry, "viewchange_retry")
         # Raise early (with the list of registered names) on unknown backends.

@@ -3,9 +3,15 @@ properties on short traces; the paper-scale claims are in
 ``tests/analysis/test_paper_claims.py`` and ``examples/reproduce_figures.py``
 prints the full run)."""
 
+import ast
+import pathlib
+
 import pytest
 
+import repro.analysis
 import repro.analysis.experiments as exp
+
+REPO = pathlib.Path(__file__).resolve().parents[2]
 
 
 class TestWorkloadStats:
@@ -81,3 +87,63 @@ class TestAblations:
 class TestDefaultTrace:
     def test_cached(self):
         assert exp.default_trace() is exp.default_trace()
+
+
+class TestFigureTable:
+    def test_reproduce_figures_calls_each_figure_once_in_table_order(self):
+        """The benchmark's tracer times each figure by wrapping the module
+        attribute ``exp.<name>``; a renamed figure, or a script that calls
+        a captured function object, would silently time nothing."""
+        tree = ast.parse((REPO / "examples" / "reproduce_figures.py").read_text())
+        names = {figure.name for figure in exp.FIGURES}
+
+        def figure_calls(node):
+            calls = [
+                call for call in ast.walk(node)
+                if isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Attribute)
+                and isinstance(call.func.value, ast.Name)
+                and call.func.value.id == "exp"
+                and call.func.attr in names
+            ]
+            calls.sort(key=lambda call: (call.lineno, call.col_offset))
+            return [call.func.attr for call in calls]
+
+        main = next(
+            node for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name == "main"
+        )
+        assert figure_calls(main) == [figure.name for figure in exp.FIGURES]
+        # Outside main, only the golden-delta section recomputes 4(a).
+        assert sorted(figure_calls(tree)) == sorted(
+            figure_calls(main) + ["figure_4a"]
+        )
+
+    def test_table_matches_the_benchmark_tracer(self):
+        from bench import tracer
+
+        assert tuple(f.name for f in exp.FIGURES) == tracer.FIGURES
+
+    def test_figure_4_reads_the_module_level_sweep_at_call_time(
+        self, monkeypatch
+    ):
+        calls = []
+
+        def recorded(*args):
+            calls.append(args)
+            raise LookupError("patched")
+
+        monkeypatch.setattr(exp, "figure_4_sweep", recorded)
+        for entry in (exp.figure_4a, exp.figure_4b):
+            with pytest.raises(LookupError, match="patched"):
+                entry(None, 15, (80,))
+        assert len(calls) == 2
+
+
+def test_every_experiment_is_exported_from_the_package():
+    missing = [
+        name for name in exp.__all__
+        if getattr(repro.analysis, name, None) is not getattr(exp, name)
+    ]
+    assert not missing
+    assert set(exp.__all__) <= set(repro.analysis.__all__)

@@ -31,8 +31,12 @@ def figure_4_sweep(paper_trace):
     return exp.figure_4_sweep(paper_trace, buffer_size=15)
 
 
-def _figure_4_by_rate(sweep, metric):
-    rows = exp._figure_4_rows(sweep, exp.DEFAULT_RATES, metric)
+def _figure_4_by_rate(monkeypatch, sweep, entry):
+    """The rows ``entry`` (``figure_4a`` or ``figure_4b``) returns, read
+    off the one module-scoped grid: the entry point looks its sweep up as
+    a module global, so it gets the fixture instead of recomputing it."""
+    monkeypatch.setattr(exp, "figure_4_sweep", lambda *args: sweep)
+    rows = entry(buffer_size=15)
     return {rate: (rel, sem) for rate, rel, sem in rows}
 
 
@@ -66,10 +70,10 @@ def test_figure_3b_obsolescence_distance(paper_trace):
     assert pct.get(1, 0) + pct.get(2, 0) + pct.get(3, 0) > 30.0
 
 
-def test_figure_4a_producer_idle(figure_4_sweep):
+def test_figure_4a_producer_idle(figure_4_sweep, monkeypatch):
     """Paper anchors at buffer 15: reliable needs ≈73 msg/s to keep the
     producer disturbance under 5 %; semantic stretches that to ≈28 msg/s."""
-    by_rate = _figure_4_by_rate(figure_4_sweep, "producer_idle_pct")
+    by_rate = _figure_4_by_rate(monkeypatch, figure_4_sweep, exp.figure_4a)
     # Semantic dominates reliable at every rate.
     for rate, (rel, sem) in by_rate.items():
         assert sem >= rel - 1e-9, f"semantic worse at {rate} msg/s"
@@ -80,10 +84,10 @@ def test_figure_4a_producer_idle(figure_4_sweep):
     assert by_rate[20][0] < 60.0
 
 
-def test_figure_4b_buffer_occupancy(figure_4_sweep):
+def test_figure_4b_buffer_occupancy(figure_4_sweep, monkeypatch):
     """In the 73→28 msg/s band purging prevents throughput degradation
     without the buffers filling up."""
-    by_rate = _figure_4_by_rate(figure_4_sweep, "mean_occupancy")
+    by_rate = _figure_4_by_rate(monkeypatch, figure_4_sweep, exp.figure_4b)
     # Occupancy rises as the consumer slows, for both protocols...
     assert by_rate[30][0] > by_rate[100][0]
     assert by_rate[30][1] > by_rate[100][1]

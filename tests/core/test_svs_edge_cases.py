@@ -22,7 +22,9 @@ def build(n=3, **kwargs):
 
 
 class TestParameterValidation:
-    @pytest.mark.parametrize("interval", [0.0, -1.0])
+    @pytest.mark.parametrize(
+        "interval", [0.0, -1.0, float("nan"), float("inf")]
+    )
     def test_nonpositive_stability_interval_rejected(self, interval):
         """A hand-wired member checks its own timer period: a zero period
         would reschedule the gossip timer at the same instant forever."""

@@ -28,6 +28,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="stability_interval"):
             StackConfig(consensus="oracle", stability_interval=-1.0)
 
+    @pytest.mark.parametrize("interval", [float("nan"), float("inf")])
+    def test_non_finite_stability_interval_rejected(self, interval):
+        """NaN used to pass the ``<= 0`` check and fail later, inside
+        ``set_timer``, with an error that did not name the field."""
+        with pytest.raises(ValueError, match="stability_interval"):
+            StackConfig(consensus="oracle", stability_interval=interval)
+
     def test_unknown_relation_name_rejected(self):
         with pytest.raises(RegistryError):
             GroupStack("no-such-relation", StackConfig(consensus="oracle"))

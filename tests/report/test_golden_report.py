@@ -9,10 +9,18 @@ only deterministic sections, so execution strategy cannot show through.
 If a change is *supposed* to alter the report format, regenerate the
 fixture (run this file with ``REGEN_GOLDEN_REPORT=1``) and say so in the
 commit message.
+
+``tests/fixtures/figures_fast_stdout.txt`` and ``figures_fast_report.md``
+pin a whole ``examples/reproduce_figures.py --fast --report DIR`` run the
+same way: regenerate them from that command (``PYTHONHASHSEED=0``; drop
+the ``total wall-clock`` and ``report:`` lines of stdout) when a figure
+is meant to change.
 """
 
 import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -21,6 +29,8 @@ from repro.report import ReportBuilder
 from repro.workload.game import GameConfig, generate_game_trace
 
 GOLDEN = pathlib.Path(__file__).parent / "golden_report.md"
+REPO = pathlib.Path(__file__).resolve().parents[2]
+FIXTURES = REPO / "tests" / "fixtures"
 
 ROUNDS = 600
 SEED = 2002
@@ -59,3 +69,29 @@ class TestGoldenReport:
         first = build_markdown(workers=2, cache=cache)
         warm = build_markdown(workers=2, cache=cache)
         assert first == warm == GOLDEN.read_text(encoding="utf-8")
+
+
+@pytest.mark.slow
+def test_figures_fast_run_matches_its_fixtures(tmp_path):
+    """Every title, heading and number of ``reproduce_figures.py --fast``:
+    stdout (less the wall-clock and report-path lines) and ``report.md``
+    are pinned byte for byte, as CI's figure-report lane diffs them."""
+    env = dict(
+        os.environ, PYTHONHASHSEED="0", PYTHONIOENCODING="utf-8",
+        PYTHONPATH=str(REPO / "src"),
+    )
+    out = subprocess.run(
+        [sys.executable, str(REPO / "examples" / "reproduce_figures.py"),
+         "--fast", "--report", str(tmp_path)],
+        env=env, check=True, capture_output=True, encoding="utf-8",
+    ).stdout
+    kept = "".join(
+        line for line in out.splitlines(keepends=True)
+        if not line.startswith(("total wall-clock", "report:"))
+    )
+    assert kept == (FIXTURES / "figures_fast_stdout.txt").read_text(
+        encoding="utf-8"
+    )
+    assert (tmp_path / "report.md").read_bytes() == (
+        FIXTURES / "figures_fast_report.md"
+    ).read_bytes()

@@ -49,6 +49,14 @@ class TestValidation:
                 stability_interval=0.0,
             ).run(until=1.0)
 
+    @pytest.mark.parametrize("interval", [float("nan"), float("inf")])
+    def test_non_finite_stability_interval_rejected(self, interval):
+        with pytest.raises(ValueError, match="stability_interval"):
+            Scenario().group(
+                n=3, relation="item-tagging", consensus="oracle",
+                stability_interval=interval,
+            ).run(until=1.0)
+
     def test_unknown_relation_name_fails_fast(self):
         with pytest.raises(RegistryError, match="obsolescence relation"):
             Scenario().group(relation="telepathy")
