@@ -4,9 +4,9 @@
 This is the one-shot driver of the evaluation: it prints, for each of
 the paper's tables/figures plus our ablations, the rows a plotting tool
 would consume (``tests/analysis/test_paper_claims.py`` asserts the
-paper's claims on the same rows).  Expect a few minutes of wall-clock time (the Figure 5
-sweeps bisect threshold rates across seven buffer sizes at full trace
-length).
+paper's claims on the same rows).  On a 2-vCPU machine the paper-scale
+run takes about 10 s (the Figure 5 sweeps bisect threshold rates across
+seven buffer sizes at full trace length) and ``--fast`` about 2 s.
 
 Run:  python examples/reproduce_figures.py [--fast] [--workers N]
           [--cache DIR] [--report DIR]

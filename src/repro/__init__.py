@@ -109,7 +109,6 @@ from repro.registry import (
 )
 from repro.scenario import LiveScenario, Scenario, ScenarioError, ScenarioResult
 from repro.sim import LognormalLatency, Network, Simulator
-from repro.transport import transports
 from repro.sweep import (
     ScenarioSweep,
     Sweep,
@@ -193,3 +192,14 @@ __all__ = [
     "Network",
     "LognormalLatency",
 ]
+
+
+def __getattr__(name: str):
+    # ``repro.transports`` resolves on first use: the transport package
+    # (asyncio, sockets) registers its backends on import, and nothing
+    # simulated needs it.
+    if name == "transports":
+        from repro.transport import transports
+
+        return transports
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -30,6 +30,7 @@ trace's :meth:`~repro.workload.trace.Trace.cache_token`).
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -385,10 +386,23 @@ def figure_4_sweep(
     )
 
 
+#: ``(weak reference to the trace, buffer_size, rates, sweep)`` of the last
+#: Figure 4 grid: panel (b) reads the grid panel (a) just ran.
+_last_figure_4: Optional[Tuple[Any, int, Tuple[int, ...], SweepResult]] = None
+
+
 def _figure_4(name, trace, buffer_size, rates, show, workers, cache, report):
     """Both Figure 4 panels: the same grid, one metric each."""
+    global _last_figure_4
     figure = _BY_NAME[name]
-    sweep = figure_4_sweep(trace, buffer_size, rates, workers, cache)
+    trace = trace or default_trace()
+    key = (buffer_size, tuple(rates))
+    last = _last_figure_4
+    if last is not None and last[0]() is trace and last[1:3] == key:
+        sweep = last[3]
+    else:
+        sweep = figure_4_sweep(trace, buffer_size, rates, workers, cache)
+        _last_figure_4 = (weakref.ref(trace), *key, sweep)
     rows = _by_protocol(
         sweep, "consumer_rate", rates, figure.chart.metric,
         lambda value: round(value, 2),

@@ -60,15 +60,14 @@ representation with ``k = 2 × buffer size`` (Section 5.2).
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from math import inf
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.buffers import DeliveryQueue
 from repro.core.message import DataMessage
 from repro.core.obsolescence import EmptyRelation, ObsolescenceRelation
-from repro.workload.trace import Trace, to_data_messages
+from repro.workload.trace import Trace, annotated_messages
 
 __all__ = [
     "ThroughputConfig",
@@ -122,7 +121,8 @@ class ThroughputResult:
     purged: int
     first_block_time: Optional[float]
     completed: bool
-    """False when the run stopped early (stop_on_first_block)."""
+    """False when the run stopped early (stop_on_first_block, or a
+    threshold probe whose outcome was decided)."""
 
     @property
     def producer_idle_pct(self) -> float:
@@ -135,48 +135,15 @@ class ThroughputResult:
 
 
 # ----------------------------------------------------------------------
-# Annotation memo: re-annotating 16k messages per sweep point is the
-# dominant cost, and the annotation depends only on (trace, repr, k).
-# ----------------------------------------------------------------------
-
-_Annotated = Tuple[List[DataMessage], ObsolescenceRelation]
-
-#: ``id(trace) -> (weak reference to that trace, {(repr, k): annotation})``.
-#: ``Trace`` compares by value and is unhashable, hence the ``id`` key; the
-#: weak reference's callback drops the entry with its trace, so a recycled
-#: ``id`` never finds another trace's messages.
-_annotation_cache: Dict[
-    int, Tuple["weakref.ref[Trace]", Dict[Tuple[str, int], _Annotated]]
-] = {}
-
-
-def annotated_messages(trace: Trace, representation: str, k: int) -> _Annotated:
-    """Annotate (with memoisation) a trace under the given representation."""
-    key = id(trace)
-    entry = _annotation_cache.get(key)
-    if entry is None or entry[0]() is not trace:
-
-        def evict(ref: "weakref.ref[Trace]") -> None:
-            if _annotation_cache.get(key, (None,))[0] is ref:
-                del _annotation_cache[key]
-
-        entry = _annotation_cache[key] = (weakref.ref(trace, evict), {})
-    annotations = entry[1]
-    cached = annotations.get((representation, k))
-    if cached is None:
-        cached = annotations[representation, k] = to_data_messages(
-            trace, representation=representation, k=k
-        )
-    return cached
-
-
-# ----------------------------------------------------------------------
 # The model
 # ----------------------------------------------------------------------
 
 
 def _simulate(
-    trace: Trace, config: ThroughputConfig, probes: Iterable[float] = ()
+    trace: Trace,
+    config: ThroughputConfig,
+    probes: Iterable[float] = (),
+    disturbance: Optional[float] = None,
 ) -> Tuple[ThroughputResult, List[Optional[float]]]:
     """One run of the model, as a merge over its pending instants.
 
@@ -185,6 +152,11 @@ def _simulate(
     consumer stopped for good right then, when would the producer first
     have blocked?  The answers — ``None`` for never — come back beside
     the result, in order.
+
+    ``disturbance`` ends the run, incomplete, once its blocked fraction is
+    certain to exceed it.  An injection slips by exactly the time the
+    producer was blocked, so a run lasts its last message's due time plus
+    its total blocked time, and blocking only accumulates.
     """
     messages, relation = annotated_messages(
         trace, config.representation, config.effective_k()
@@ -203,6 +175,10 @@ def _simulate(
     instants = iter(probes if stall_at is None else (stall_at,))
     t_stall = next(instants, inf)
     first_blocks: List[Optional[float]] = []
+    give_up = inf  # blocked time past which the fraction exceeds ``disturbance``
+    if disturbance is not None and disturbance < 1.0 and n:
+        give_up = disturbance / (1.0 - disturbance) * messages[-1].payload.time
+        give_up *= 1.0 + 1e-9  # margin for the clock's rounding
 
     now = finish = offset = blocked_total = occ_sum = occ_last = 0.0
     cursor = delivered = occ_val = occ_max = 0
@@ -259,6 +235,8 @@ def _simulate(
             offset += stalled
             blocked_total += stalled
             blocked_since = None
+            if blocked_total > give_up:
+                break
         if try_append(messages[cursor]):
             occ_sum += occ_val * (now - occ_last)
             occ_last = now
@@ -352,21 +330,22 @@ def threshold_rate(
     representation: str = "k-enumeration",
 ) -> int:
     """Figure 5(a): lowest integer consumer rate with ≤ ``disturbance``
-    producer blocking, by bisection (blocking is monotone in the rate)."""
-    def disturbed(rate: int) -> bool:
-        result = run_slow_receiver(
-            trace,
-            ThroughputConfig(
-                buffer_size=buffer_size,
-                consumer_rate=float(rate),
-                semantic=semantic,
-                representation=representation,
-            ),
-        )
-        return result.blocked_fraction > disturbance
+    producer blocking, by bisection (blocking is monotone in the rate);
+    ``hi`` when even that rate is disturbed.
 
-    if disturbed(hi):
-        return hi
+    Each probe stops as soon as its blocked time alone decides it, so a
+    disturbed rate costs only the run up to that point.
+    """
+    def disturbed(rate: int) -> bool:
+        config = ThroughputConfig(
+            buffer_size=buffer_size,
+            consumer_rate=float(rate),
+            semantic=semantic,
+            representation=representation,
+        )
+        result = _simulate(trace, config, disturbance=disturbance)[0]
+        return not result.completed or result.blocked_fraction > disturbance
+
     while lo < hi:
         mid = (lo + hi) // 2
         if disturbed(mid):

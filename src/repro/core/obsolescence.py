@@ -308,12 +308,15 @@ class MessageEnumeration(ObsolescenceRelation):
 
 
 class _EnumIndex(PurgeIndex):
-    """Id and reverse-enumeration maps for :class:`MessageEnumeration`.
+    """Id map (plus, once coverage is asked, a reverse map) for
+    :class:`MessageEnumeration`.
 
-    Purge candidates are direct lookups of the new message's enumerated
-    ids; coverage inverts the annotation sets so "is some queued message
-    enumerating ``old``?" is one dict probe instead of a scan over every
-    queued annotation.
+    Annotations are transitively closed and grow with the history, so
+    purge candidates walk the smaller of the annotation and the id map.
+    Coverage inverts the annotation sets so "is some indexed message
+    enumerating ``old``?" is one dict probe; that map is built on the first
+    ``coverer_of``, so a queue that only purges (the throughput model's)
+    never walks an annotation on ``add`` or ``discard``.
     """
 
     __slots__ = ("_by_mid", "_rev")
@@ -321,22 +324,21 @@ class _EnumIndex(PurgeIndex):
     def __init__(self) -> None:
         self._by_mid: Dict[MessageId, DataMessage] = {}
         # target mid -> {enumerating mid: enumerating message}
-        self._rev: Dict[MessageId, Dict[MessageId, DataMessage]] = {}
+        self._rev: Optional[Dict[MessageId, Dict[MessageId, DataMessage]]] = None
 
     def add(self, msg: DataMessage) -> None:
         self._by_mid[msg.mid] = msg
-        if msg.annotation:
-            for target in msg.annotation:
-                bucket = self._rev.get(target)
-                if bucket is None:
-                    self._rev[target] = {msg.mid: msg}
-                else:
-                    bucket[msg.mid] = msg
+        if self._rev is not None:
+            self._enter(msg)
+
+    def _enter(self, msg: DataMessage) -> None:
+        for target in msg.annotation or ():
+            self._rev.setdefault(target, {})[msg.mid] = msg
 
     def discard(self, msg: DataMessage) -> None:
         self._by_mid.pop(msg.mid, None)
-        if msg.annotation:
-            for target in msg.annotation:
+        if self._rev is not None:
+            for target in msg.annotation or ():
                 bucket = self._rev.get(target)
                 if bucket is not None:
                     bucket.pop(msg.mid, None)
@@ -348,18 +350,25 @@ class _EnumIndex(PurgeIndex):
         return old.mid.sender != new.mid.sender or old.sn < new.sn
 
     def obsoleted_by(self, new: DataMessage) -> List[DataMessage]:
-        if not new.annotation:
+        annotation = new.annotation
+        if not annotation:
             return []
         by_mid = self._by_mid
+        if len(annotation) <= len(by_mid):
+            olds = [by_mid[mid] for mid in annotation if mid in by_mid]
+        else:
+            olds = [old for mid, old in by_mid.items() if mid in annotation]
         view_id = new.view_id
-        out = []
-        for target in new.annotation:
-            old = by_mid.get(target)
-            if old is not None and old.view_id == view_id and self._related(new, old):
-                out.append(old)
-        return out
+        return [
+            old for old in olds
+            if old.view_id == view_id and self._related(new, old)
+        ]
 
     def coverer_of(self, old: DataMessage) -> bool:
+        if self._rev is None:
+            self._rev = {}
+            for msg in self._by_mid.values():
+                self._enter(msg)
         bucket = self._rev.get(old.mid)
         if not bucket:
             return False
@@ -543,6 +552,9 @@ class KEnumerationEncoder:
         self.k = k
         self._bitmaps: Dict[int, int] = {}
         self._next_sn = 0
+        # The newest sn gc'd so far, while sns arrive in increasing order
+        # (``None`` once one does not).
+        self._newest: Optional[int] = -1
 
     @property
     def mask(self) -> int:
@@ -586,9 +598,16 @@ class KEnumerationEncoder:
 
     def _gc(self, newest_sn: int) -> None:
         horizon = newest_sn - self.k
-        stale = [s for s in self._bitmaps if s < horizon]
-        for s in stale:
-            del self._bitmaps[s]
+        last, bitmaps = self._newest, self._bitmaps
+        in_order = last is not None and newest_sn > last
+        self._newest = newest_sn if in_order else None
+        if in_order and newest_sn - last <= len(bitmaps):
+            # Nothing below the last horizon is left: delete by sn.
+            for s in range(last - self.k, horizon):
+                bitmaps.pop(s, None)
+            return
+        for s in [s for s in bitmaps if s < horizon]:
+            del bitmaps[s]
 
 
 class ExplicitRelation(ObsolescenceRelation):

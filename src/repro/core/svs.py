@@ -33,7 +33,8 @@ Two deliberate, documented deviations from the paper's pseudo-code:
    purged ``m`` (covered by an ``m'`` it has already delivered) would
    re-accept ``m`` from the flush set and deliver it *after* ``m'``,
    violating the protocol's own FIFO clause.  Coverage is what t3 uses and
-   is clearly the intent.
+   is clearly the intent.  The delivered log is asked through a
+   never-purged ``DeliveryQueue`` built over it, whose index answers.
 2. Flushed messages are appended in ``(sender, sn)`` order so that
    per-sender FIFO holds among messages a process had not seen before the
    flush.  The pseudo-code's ``OrderedSetOfMessages`` leaves this implicit.
@@ -415,7 +416,8 @@ class SVSProcess(SimProcess):
         if self.listeners.on_enqueue is not None:
             self.listeners.on_enqueue(self.pid)
 
-    def _covered(self, msg: DataMessage, deep: Optional[bool] = None) -> bool:
+    def _covered(self, msg: DataMessage, deep: Optional[bool] = None,
+                 logs: Optional[Dict[int, DeliveryQueue]] = None) -> bool:
         """Is ``msg`` ⊑-covered by the messages accepted for delivery?
 
         ``deep`` forces the full relation scan.  At t3 reception the scan
@@ -424,6 +426,11 @@ class SVSProcess(SimProcess):
         are complete); the installation flush must always scan — a message
         this process purged earlier may reappear in the flush set *after*
         its coverer was delivered, and re-accepting it would violate FIFO.
+
+        The flush passes ``logs`` (one per decision): the delivered log as
+        a never-purged ``DeliveryQueue`` per view, built when the first
+        message reaches the scan and then asked instead of scanned.  Nothing
+        is delivered during a flush; t3, between deliveries, always scans.
         """
         if deep is None:
             deep = self._cross_sender
@@ -436,7 +443,14 @@ class SVSProcess(SimProcess):
             return False
         if self.to_deliver.covered(msg):
             return True
-        return any(self.relation.covers(other, msg) for other in delivered.values())
+        if logs is None:
+            return any(self.relation.covers(o, msg) for o in delivered.values())
+        log = logs.get(msg.view_id)
+        if log is None:
+            log = logs[msg.view_id] = DeliveryQueue(self.relation)
+            for other in delivered.values():
+                log.append(other)
+        return log.covered(msg)
 
     # ------------------------------------------------------------------
     # t5 — INIT handling
@@ -594,6 +608,7 @@ class SVSProcess(SimProcess):
                 self.listeners.on_exclude(self.pid, next_view)
             return
         added = 0
+        logs: Dict[int, DeliveryQueue] = {}
         for msg in sorted(flush, key=lambda m: (m.mid.sender, m.mid.sn)):
             self._note_processed(msg)
             # Group-stable messages are accounted for everywhere; pruning
@@ -605,7 +620,7 @@ class SVSProcess(SimProcess):
             # Coverage (not membership) guard — deviation #1, see module
             # docs — with the full scan forced: a locally purged message
             # may be in the flush set while only its coverer remains here.
-            if not self._covered(msg, deep=True):
+            if not self._covered(msg, deep=True, logs=logs):
                 self.to_deliver.append(msg)
                 added += 1
         self.to_deliver.purge()

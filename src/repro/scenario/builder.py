@@ -79,7 +79,7 @@ from repro.registry import (
 )
 from repro.scenario.result import ScenarioResult, serialize_histories
 from repro.sim.failure import Perturbation
-from repro.workload.trace import Trace, to_data_messages
+from repro.workload.trace import Trace, annotated_messages
 
 __all__ = ["Scenario", "LiveScenario", "ScenarioError", "KNOWN_METRICS"]
 
@@ -733,8 +733,8 @@ class LiveScenario:
         workload = spec._trace_workload
         if workload is not None and workload.representation is not None:
             k = workload.k if workload.k is not None else 30
-            self._annotated, encoder_relation = to_data_messages(
-                workload.trace, representation=workload.representation, k=k
+            self._annotated, encoder_relation = annotated_messages(
+                workload.trace, workload.representation, k
             )
             if not spec._relation_explicit:
                 relation = encoder_relation

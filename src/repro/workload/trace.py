@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -42,6 +43,7 @@ __all__ = [
     "item_rank_profile",
     "obsolescence_distances",
     "to_data_messages",
+    "annotated_messages",
 ]
 
 
@@ -244,6 +246,39 @@ def to_data_messages(
     if representation in ("enumeration", "message-enumeration"):
         return _annotate_enumeration(trace, sender, window, view_id)
     raise ValueError(f"unknown representation: {representation!r}")
+
+
+_Annotated = Tuple[List[DataMessage], ObsolescenceRelation]
+
+#: ``id(trace) -> (weak reference to that trace, {(repr, k): annotation})``.
+#: ``Trace`` compares by value and is unhashable, hence the ``id`` key; the
+#: weak reference's callback drops the entry with its trace, so a recycled
+#: ``id`` never finds another trace's messages.
+_annotation_cache: Dict[
+    int, Tuple["weakref.ref[Trace]", Dict[Tuple[str, int], _Annotated]]
+] = {}
+
+
+def annotated_messages(trace: Trace, representation: str, k: int) -> _Annotated:
+    """:func:`to_data_messages`, memoised per ``(trace, representation,
+    k)`` for the throughput model and the scenario builder, which ask once
+    per run.  The result is shared: callers must not mutate it."""
+    key = id(trace)
+    entry = _annotation_cache.get(key)
+    if entry is None or entry[0]() is not trace:
+
+        def evict(ref: "weakref.ref[Trace]") -> None:
+            if _annotation_cache.get(key, (None,))[0] is ref:
+                del _annotation_cache[key]
+
+        entry = _annotation_cache[key] = (weakref.ref(trace, evict), {})
+    annotations = entry[1]
+    cached = annotations.get((representation, k))
+    if cached is None:
+        cached = annotations[representation, k] = to_data_messages(
+            trace, representation=representation, k=k
+        )
+    return cached
 
 
 def _annotate_k(

@@ -4,7 +4,10 @@ properties on short traces; the paper-scale claims are in
 prints the full run)."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -48,6 +51,32 @@ class TestFigure4:
     def test_4b_occupancy_rises_as_consumer_slows(self, short_game_trace):
         rows = exp.figure_4b(short_game_trace, rates=(100, 25))
         assert rows[1][1] > rows[0][1]  # reliable occupancy grows
+
+    def test_panels_share_one_grid(self, monkeypatch, short_game_trace):
+        """4(b) reads the grid 4(a) just ran; another trace, buffer or
+        rate list runs it again."""
+        from repro.workload import portable_workload
+
+        calls = []
+        sweep = exp.figure_4_sweep
+
+        def counted(*args):
+            calls.append(args[1:3])
+            return sweep(*args)
+
+        monkeypatch.setattr(exp, "figure_4_sweep", counted)
+        trace = portable_workload("game", rounds=300)
+        exp.figure_4a(trace, rates=(80, 30))
+        b = exp.figure_4b(trace, rates=[80, 30])
+        assert calls == [(15, (80, 30))]
+        assert b == exp._by_protocol(
+            sweep(trace, rates=(80, 30)), "consumer_rate", (80, 30),
+            "mean_occupancy", lambda value: round(value, 2),
+        )
+        exp.figure_4b(trace, buffer_size=8, rates=(80, 30))
+        exp.figure_4a(trace, buffer_size=8, rates=(80,))
+        exp.figure_4a(portable_workload("game", rounds=300), 8, (80,))
+        assert calls == [(15, (80, 30)), (8, (80, 30)), (8, (80,)), (8, (80,))]
 
 
 class TestFigure5:
@@ -147,3 +176,21 @@ def test_every_experiment_is_exported_from_the_package():
     ]
     assert not missing
     assert set(exp.__all__) <= set(repro.analysis.__all__)
+
+
+def test_the_figure_path_leaves_the_live_transport_unloaded():
+    """Importing the experiments loads no asyncio, sockets or executor
+    pools; ``repro.transports`` still resolves, backends registered."""
+    code = (
+        "import sys, repro.analysis.experiments\n"
+        "live = ('asyncio', 'socket', 'concurrent.futures', 'repro.transport')\n"
+        "print([name for name in live if name in sys.modules])\n"
+        "import repro\n"
+        "print(callable(repro.transports.get('loopback')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, cwd=REPO,
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.splitlines() == ["[]", "True"]

@@ -16,6 +16,7 @@ from repro.analysis.throughput import (
     run_slow_receiver,
     threshold_rate,
 )
+from repro.workload import trace as trace_module
 from repro.workload.patterns import (
     mixed_stream,
     periodic_updates,
@@ -143,6 +144,35 @@ class TestThresholdSearch:
         assert sem < mean_rate
 
 
+def stopping_probe_decisions(trace, buffer_size, semantic, rates, d=0.05):
+    """Each rate's "disturbed?" by the full run, asserting that the probe
+    ``threshold_rate`` runs — stopped once its blocked time decides —
+    answers the same."""
+    decisions = []
+    for rate in rates:
+        config = ThroughputConfig(
+            buffer_size=buffer_size, consumer_rate=float(rate),
+            semantic=semantic,
+        )
+        full = run_slow_receiver(trace, config)
+        probe = throughput._simulate(trace, config, disturbance=d)[0]
+        disturbed = full.blocked_fraction > d
+        if probe.completed:
+            assert probe == full, rate
+        else:
+            assert disturbed and probe.blocked_fraction > d, rate
+        decisions.append(disturbed)
+    return decisions
+
+
+@pytest.mark.parametrize("semantic", [True, False])
+def test_stopping_probe_decides_like_the_full_run(tiny_game_trace, semantic):
+    decisions = stopping_probe_decisions(
+        tiny_game_trace, 6, semantic, range(5, 121, 5)
+    )
+    assert decisions[0] and not decisions[-1]
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("semantic", [True, False])
 @pytest.mark.parametrize("buffer_size", [4, 28])
@@ -150,18 +180,12 @@ def test_threshold_bisection_agrees_with_exhaustive_scan(
     short_game_trace, buffer_size, semantic
 ):
     """``threshold_rate`` bisects on "blocking is monotone in the rate";
-    here every integer rate is run, on the golden 1500-round trace."""
+    here every integer rate is run, on the golden 1500-round trace, and
+    each is decided by the stopping probe exactly as by the full run."""
     lo, hi = 1, 200
-    disturbed = [
-        run_slow_receiver(
-            short_game_trace,
-            ThroughputConfig(
-                buffer_size=buffer_size, consumer_rate=float(rate),
-                semantic=semantic,
-            ),
-        ).blocked_fraction > 0.05
-        for rate in range(lo, hi + 1)
-    ]
+    disturbed = stopping_probe_decisions(
+        short_game_trace, buffer_size, semantic, range(lo, hi + 1)
+    )
     scan = lo + disturbed.index(False)
     assert threshold_rate(short_game_trace, buffer_size, semantic) == scan
     # Monotone: disturbed at every rate below the threshold, at none above.
@@ -268,24 +292,43 @@ class TestAnnotationMemo:
 
     def test_entry_dies_with_its_trace(self):
         gc.collect()
-        before = set(throughput._annotation_cache)
+        before = set(trace_module._annotation_cache)
         trace = periodic_updates(items=3, messages=20, rate=10.0)
         annotated_messages(trace, "tagging", 4)
         annotated_messages(trace, "k-enumeration", 4)
-        assert set(throughput._annotation_cache) - before == {id(trace)}
+        assert set(trace_module._annotation_cache) - before == {id(trace)}
         del trace
         gc.collect()
-        assert set(throughput._annotation_cache) == before
+        assert set(trace_module._annotation_cache) == before
 
     def test_short_lived_traces_leave_nothing_behind(self):
         gc.collect()
-        before = len(throughput._annotation_cache)
+        before = len(trace_module._annotation_cache)
         for i in range(300):
             trace = single_item_stream(messages=5, rate=10.0 + i)
             run_slow_receiver(trace, ThroughputConfig(buffer_size=2))
         del trace
         gc.collect()
-        assert len(throughput._annotation_cache) == before
+        assert len(trace_module._annotation_cache) == before
+
+    def test_builder_and_model_share_one_annotation(self, monkeypatch):
+        from repro.scenario import Scenario
+
+        calls = []
+        annotate = trace_module.to_data_messages
+
+        def counted(trace, **kwargs):
+            calls.append(kwargs)
+            return annotate(trace, **kwargs)
+
+        monkeypatch.setattr(trace_module, "to_data_messages", counted)
+        trace = periodic_updates(items=3, messages=20, rate=10.0)
+        for _ in range(2):
+            Scenario().group(n=2).workload(
+                trace, representation="k-enumeration", k=30
+            ).build()
+        run_slow_receiver(trace, ThroughputConfig(buffer_size=15))  # k = 30
+        assert calls == [{"representation": "k-enumeration", "k": 30}]
 
     def test_recycled_id_does_not_alias(self):
         """An entry whose trace is gone must never be served to the trace
@@ -295,8 +338,8 @@ class TestAnnotationMemo:
         annotated_messages(other, "tagging", 4)
         # Plant ``other``'s entry under ``trace``'s id, as a recycled id
         # would find it had the entry outlived its trace.
-        throughput._annotation_cache[id(trace)] = (
-            throughput._annotation_cache[id(other)]
+        trace_module._annotation_cache[id(trace)] = (
+            trace_module._annotation_cache[id(other)]
         )
         messages, _ = annotated_messages(trace, "tagging", 4)
         assert len(messages) == 20

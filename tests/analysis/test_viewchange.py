@@ -51,6 +51,44 @@ class TestViewChangeUnderLoad:
             assert all(v < 1.0 for v in fast)
 
 
+class TestRunLength:
+    """The run stops once every member's application has delivered view 1
+    (no field changes after that) and runs to the horizon otherwise."""
+
+    @staticmethod
+    def run_end(monkeypatch, trace, **kwargs):
+        from repro.sim import Simulator
+
+        ends = []
+        run = Simulator.run
+
+        def recording_run(sim, *args, **kw):
+            run(sim, *args, **kw)
+            ends.append(sim.now)
+
+        monkeypatch.setattr(Simulator, "run", recording_run)
+        result = measure_view_change_latency(
+            trace, semantic=False, load_time=15.0, **kwargs
+        )
+        assert len(ends) == 1
+        return result, ends[0]
+
+    def test_stops_when_every_member_delivered_the_view(
+        self, monkeypatch, trace
+    ):
+        result, end = self.run_end(monkeypatch, trace, slow_rate=25.0)
+        assert set(result.app_latency) == {0, 1, 2}
+        assert end == pytest.approx(15.0 + result.slow_app_latency)
+        assert end < 15.0 + 60.0
+
+    def test_runs_the_horizon_when_a_member_never_delivers_it(
+        self, monkeypatch, trace
+    ):
+        result, end = self.run_end(monkeypatch, trace, slow_rate=1.0)
+        assert set(result.app_latency) == {0, 2}
+        assert end == 15.0 + 60.0
+
+
 # ----------------------------------------------------------------------
 # The spec check the measurement itself leaves off
 # ----------------------------------------------------------------------

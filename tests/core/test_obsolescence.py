@@ -1,6 +1,8 @@
 """Unit tests for the obsolescence relations and encoders."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.message import MessageId
 from repro.core.obsolescence import (
@@ -220,6 +222,104 @@ class TestKEnumerationEncoder:
         bitmap = enc.annotate(4, [3])
         assert bitmap & 0b1  # direct bit for distance 1
         assert bitmap & 0b1010  # recorded closure shifted by 1
+
+
+class ScanningKEncoder(KEnumerationEncoder):
+    """The encoder as it was: every annotate and record scans all bitmaps."""
+
+    def _gc(self, newest_sn):
+        horizon = newest_sn - self.k
+        for s in [s for s in self._bitmaps if s < horizon]:
+            del self._bitmaps[s]
+
+
+#: (record?, sn step, direct distances, recorded bitmap); a negative or
+#: zero step sends the sn backwards (records only: annotate rejects nothing
+#: out of order, but real senders annotate in order).
+encoder_ops = st.lists(
+    st.tuples(
+        st.booleans(),
+        st.integers(min_value=-6, max_value=9),
+        st.lists(st.integers(min_value=1, max_value=7), max_size=3),
+        st.integers(min_value=0, max_value=2**8 - 1),
+    ),
+    max_size=40,
+)
+
+
+class TestKEnumerationEncoderGc:
+    @settings(max_examples=150, deadline=None)
+    @given(k=st.integers(min_value=1, max_value=6), ops=encoder_ops)
+    def test_bitmaps_match_the_scanning_encoder(self, k, ops):
+        fast, scanning = KEnumerationEncoder(0, k), ScanningKEncoder(0, k)
+        sn = 0
+        for record, step, distances, bitmap in ops:
+            sn = max(0, sn + step) if record else sn + max(1, step)
+            direct = [sn - d for d in distances if d <= sn]
+            outs = [
+                enc.record(sn, bitmap) if record else enc.annotate(sn, direct)
+                for enc in (fast, scanning)
+            ]
+            assert outs[0] == outs[1]
+            assert fast._bitmaps == scanning._bitmaps
+
+    def test_out_of_order_record_falls_back_to_the_scan(self):
+        fast, scanning = KEnumerationEncoder(0, 2), ScanningKEncoder(0, 2)
+        for enc in (fast, scanning):
+            for sn in range(10):
+                enc.annotate(sn, [sn - 1] if sn else [])
+            enc.record(1, 0b11)  # behind the horizon: kept until the next gc
+            assert 1 in enc._bitmaps
+            enc.annotate(10, [9])
+        assert 1 not in fast._bitmaps
+        assert fast._bitmaps == scanning._bitmaps
+
+
+class TestEnumIndexReverseMap:
+    """Coverage builds the reverse map on first use and maintains it; the
+    answers match the scan before and after."""
+
+    @staticmethod
+    def stream():
+        enc = EnumerationEncoder(sender=0)
+        out, last = [], {}
+        for i in range(40):
+            mid = enc.next_mid()
+            item = i % 4
+            direct = [last[item]] if item in last and i % 7 else []
+            out.append(make_data(sn=mid.sn, annotation=enc.annotate(mid, direct)))
+            last[item] = mid
+        return out
+
+    def test_coverer_of_agrees_with_the_scan(self):
+        rel = MessageEnumeration()
+        messages = self.stream()
+        index = rel.make_index()
+        indexed = []
+
+        def scan(old):
+            return any(rel.obsoletes(new, old) for new in indexed)
+
+        for i, msg in enumerate(messages):
+            index.add(msg)
+            indexed.append(msg)
+            if i % 3 == 0:
+                gone = indexed.pop(0)
+                index.discard(gone)
+            if i == 20:
+                assert index._rev is None
+                assert [index.coverer_of(m) for m in messages] == [
+                    scan(m) for m in messages
+                ]
+                assert index._rev is not None
+        assert [index.coverer_of(m) for m in messages] == [
+            scan(m) for m in messages
+        ]
+        assert any(scan(m) for m in messages)
+        for new in messages:
+            assert sorted(old.mid for old in index.obsoleted_by(new)) == sorted(
+                old.mid for old in indexed if rel.obsoletes(new, old)
+            )
 
 
 class TestExplicitRelation:
