@@ -18,23 +18,36 @@ sim-vs-live contract, see ``docs/transport.md``):
 * time advances on its own — two runs of the same scenario are *not*
   byte-identical; only the protocol's safety properties are preserved
   (which is exactly what the loopback cross-check lane verifies);
-* the ``priority`` tie-break is accepted and ignored — wall-clock events
-  never tie exactly;
+* the ``priority`` tie-break is accepted and ignored; callbacks due at
+  the same instant fire in the order they were scheduled;
 * callbacks run on the event loop thread; an exception raised by any
-  callback aborts the run and re-raises from :meth:`run` instead of
-  vanishing into asyncio's default exception handler.
+  callback aborts the run (no later callback fires) and re-raises from
+  :meth:`run` instead of vanishing into asyncio's default exception handler.
+
+Like the kernel, the clock owns its timers: one heap of ``(time, seq,
+handle)`` behind a single loop timer armed at the earliest deadline.  On
+wake it fires every due handle in ``(time, seq)`` order, then re-arms once.
+No handle fires before its time.  The loop waits in ``select(2)``, whose
+timeout has microsecond resolution (``epoll``'s is rounded up to whole
+milliseconds), so a timer fires tens of microseconds late, not half a
+millisecond; ``select`` watches descriptors below ``FD_SETSIZE`` (1024),
+which bounds a run to about a thousand UDP sockets.
 
 Scheduling is permitted *before* the loop exists: the Scenario builder
 wires consumers, workload replay and fault plans at build time, long before
-``run()`` starts the loop.  Pre-start events are parked and armed when the
-loop comes up, preserving their intended absolute firing times (epoch 0 is
-the instant the loop starts).
+``run()`` starts the loop.  Pre-start events are parked in the heap and
+armed when the loop comes up, preserving their intended absolute firing
+times (epoch 0 is the instant the loop starts).
 """
 
 from __future__ import annotations
 
 import asyncio
+import heapq
+import itertools
+import math
 import random
+import selectors
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.sim.kernel import SimulationError, stream_rng
@@ -49,20 +62,18 @@ class WallClockHandle:
     the stack relies on (``cancel()``, ``time``, ``cancelled``).
     """
 
-    __slots__ = ("time", "callback", "args", "cancelled", "_timer")
+    __slots__ = ("time", "callback", "args", "cancelled")
 
     def __init__(self, time: float, callback: Callable[..., None], args: Tuple[Any, ...]) -> None:
         self.time = time
         self.callback = callback
         self.args = args
         self.cancelled = False
-        self._timer: Optional[asyncio.TimerHandle] = None
 
     def cancel(self) -> None:
+        """Mark the handle dead; the clock drops it when it reaches the
+        head of the heap."""
         self.cancelled = True
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = " cancelled" if self.cancelled else ""
@@ -87,7 +98,13 @@ class WallClock:
         self._rngs: Dict[str, random.Random] = {}
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._epoch: Optional[float] = None
-        self._pending: List[WallClockHandle] = []
+        self._heap: List[Tuple[float, int, WallClockHandle]] = []
+        self._seq = itertools.count()
+        self._timer: Optional[asyncio.TimerHandle] = None
+        #: Deadline of the armed loop timer: ``inf`` when none is armed,
+        #: ``-inf`` while arming is held off (before and after the run, and
+        #: while a wake drains the heap — it re-arms once at the end).
+        self._armed = -math.inf
         self._runners: List[Any] = []
         self._errors: List[BaseException] = []
         self._finished = False
@@ -136,8 +153,8 @@ class WallClock:
     ) -> WallClockHandle:
         """Schedule ``callback(*args)`` ``delay`` seconds from now.
 
-        ``priority`` is accepted for kernel compatibility and ignored —
-        wall-clock firings never tie exactly.
+        ``priority`` is accepted for kernel compatibility and ignored;
+        same-time callbacks fire in scheduling order.
         """
         if delay < 0:
             raise SimulationError(f"negative delay: {delay!r}")
@@ -165,32 +182,42 @@ class WallClock:
         self, time: float, callback: Callable[..., None], args: Tuple[Any, ...]
     ) -> WallClockHandle:
         handle = WallClockHandle(time, callback, args)
-        if self._loop is None:
-            self._pending.append(handle)
-        else:
-            self._arm(handle)
+        heapq.heappush(self._heap, (time, next(self._seq), handle))
+        if time < self._armed:
+            self._arm()
         return handle
 
-    def _arm(self, handle: WallClockHandle) -> None:
-        assert self._loop is not None and self._epoch is not None
-        if handle.cancelled:
-            return
-        when = self._epoch + handle.time
-        handle._timer = self._loop.call_at(max(when, self._loop.time()), self._fire, handle)
+    def _arm(self) -> None:
+        """Point the one loop timer at the earliest live deadline."""
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
+            heapq.heappop(heap)
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+        self._armed = heap[0][0] if heap else math.inf
+        if heap:
+            assert self._loop is not None and self._epoch is not None
+            self._timer = self._loop.call_at(self._epoch + self._armed, self._wake)
 
-    def _fire(self, handle: WallClockHandle) -> None:
-        if handle.cancelled or self._finished:
-            return
-        handle._timer = None
-        self._events_processed += 1
-        try:
-            handle.callback(*handle.args)
-        except BaseException as exc:  # surface from run(), don't swallow
-            self._errors.append(exc)
-            loop = self._loop
-            if loop is not None:
-                for task in asyncio.all_tasks(loop):
+    def _wake(self) -> None:
+        self._timer = None
+        self._armed = -math.inf  # callbacks below schedule without arming
+        heap = self._heap
+        now = self.now
+        while heap and heap[0][0] <= now:
+            handle = heapq.heappop(heap)[2]
+            if handle.cancelled:
+                continue
+            self._events_processed += 1
+            try:
+                handle.callback(*handle.args)
+            except BaseException as exc:  # surface from run(), don't swallow
+                self._errors.append(exc)
+                for task in asyncio.all_tasks(self._loop):
                     task.cancel()
+                return  # the run is over: fire nothing more, stay disarmed
+        self._arm()
 
     # ------------------------------------------------------------------
     # Runners (transports) and execution
@@ -222,12 +249,20 @@ class WallClock:
                 "this WallClock already ran; live runs are one-shot "
                 "(build a fresh scenario to run again)"
             )
+        # What asyncio.run does, on a loop whose selector waits with
+        # sub-millisecond timeouts (asyncio.Runner's loop_factory is 3.11+).
+        loop = asyncio.SelectorEventLoop(selectors.SelectSelector())
         try:
-            asyncio.run(self._run_async(until))
+            loop.run_until_complete(self._run_async(until))
         finally:
             self._finished = True
             self._loop = None
             self._epoch = None
+            try:
+                loop.run_until_complete(loop.shutdown_asyncgens())
+                loop.run_until_complete(loop.shutdown_default_executor())
+            finally:
+                loop.close()
         if self._errors:
             raise self._errors[0]
 
@@ -237,9 +272,7 @@ class WallClock:
         try:
             for runner in self._runners:
                 await runner.start()
-            pending, self._pending = self._pending, []
-            for handle in pending:
-                self._arm(handle)
+            self._arm()
             try:
                 await asyncio.sleep(max(0.0, until - self.now))
             except asyncio.CancelledError:
@@ -251,6 +284,9 @@ class WallClock:
             # got, not pretend the full duration elapsed.
             elapsed = self._loop.time() - self._epoch
             self._now = elapsed if self._errors else max(elapsed, until)
+            if self._timer is not None:
+                self._timer.cancel()
+            self._armed = -math.inf
             for runner in self._runners:
                 try:
                     await runner.close()

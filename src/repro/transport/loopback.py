@@ -1,8 +1,10 @@
-"""In-process loopback transport: asyncio timers as the wire.
+"""In-process loopback transport: clock events as the wire.
 
 The loopback backend runs a whole group inside one OS process and one
-event loop, delivering frames through ``loop.call_later`` with an emulated
-one-way latency.  It exists for two reasons:
+event loop.  Each frame is a :class:`~repro.transport.clock.WallClock`
+event due after an emulated one-way latency, so deliveries share the
+clock's one timer heap (and count in its ``events_processed``).  It exists
+for two reasons:
 
 * **integration lane** — live runs that are fast, portable and
   socket-free, so CI can drive the full wall-clock runtime (scheduler,
@@ -17,13 +19,14 @@ FIFO: like the simulated :class:`~repro.sim.network.Network`, a frame is
 never delivered before the previously scheduled frame on the same ordered
 channel unless it was explicitly selected for reordering by ``jitter``
 overtake (``reorder=True``).  With ``reorder=False`` (default) channels
-are FIFO, matching the paper's channel assumption.
+are FIFO, matching the paper's channel assumption.  A clamped frame is
+due no earlier than its predecessor, and the clock fires same-time events
+in scheduling order, so a tie cannot reorder a channel.
 """
 
 from __future__ import annotations
 
-import asyncio
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.sim.process import ProcessId
 from repro.transport.clock import WallClock
@@ -72,19 +75,10 @@ class LoopbackTransport(Transport):
         self.loss = float(loss)
         self.duplicate = float(duplicate)
         self.reorder = bool(reorder)
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._last_delivery: Dict[Tuple[ProcessId, ProcessId], float] = {}
 
-    async def start(self) -> None:
-        await super().start()
-        self._loop = asyncio.get_running_loop()
-
-    async def close(self) -> None:
-        await super().close()
-        self._loop = None
-
     def send(self, src: ProcessId, dst: ProcessId, data: bytes) -> None:
-        if self._closed or self._loop is None:
+        if self._closed or not self._started:
             return  # frames in flight at teardown just disappear
         self.stats.sent += 1
         rng = self._clock.rng(f"transport.{src}.{dst}")
@@ -96,16 +90,20 @@ class LoopbackTransport(Transport):
         if self.jitter:
             delay += rng.random() * self.jitter
             jittered = True
-        deliver_at = self._loop.time() + delay
         channel = (src, dst)
-        if not (self.reorder and jittered):
+        fifo = not (self.reorder and jittered)
+        clock = self._clock
+        if fifo:
             # FIFO clamp, exactly as the simulated network applies it.
-            deliver_at = max(deliver_at, self._last_delivery.get(channel, 0.0))
-            self._last_delivery[channel] = deliver_at
-        self._loop.call_at(deliver_at, self._dispatch, dst, data)
+            delay = max(delay, self._last_delivery.get(channel, 0.0) - clock.now)
+        # Relative scheduling: the clock reads `now` again, so the frame is
+        # due at or after its clamped deadline, never before.
+        due = clock.schedule(delay, self._dispatch, dst, data).time
         if self.duplicate and rng.random() < self.duplicate:
             self.stats.duplicated += 1
-            self._loop.call_at(deliver_at, self._dispatch, dst, data)
+            due = clock.schedule(max(0.0, due - clock.now), self._dispatch, dst, data).time
+        if fifo:
+            self._last_delivery[channel] = due
 
 
 @transports.register("loopback")

@@ -18,6 +18,21 @@ except ImportError:
 
 _HAVE_SIGALRM = hasattr(signal, "SIGALRM")
 
+try:  # pragma: no cover - the docs lane runs without hypothesis
+    from hypothesis import settings as _hypothesis_settings
+except ImportError:
+    pass
+else:
+    # The suite draws the same property examples on every run (seeded from
+    # each test's own source), so its verdict and its length repeat.  CI's
+    # property step explores new ones: --hypothesis-profile=fresh-seed.
+    # Neither profile touches max_examples.
+    _hypothesis_settings.register_profile(
+        "derandomized", derandomize=True, database=None
+    )
+    _hypothesis_settings.register_profile("fresh-seed", derandomize=False)
+    _hypothesis_settings.load_profile("derandomized")
+
 
 @pytest.hookimpl(hookwrapper=True)
 def pytest_runtest_call(item):

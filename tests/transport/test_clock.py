@@ -1,5 +1,7 @@
 """WallClock: the Simulator scheduling surface over real time."""
 
+import statistics
+
 import pytest
 
 from repro.sim.kernel import SimulationError, Simulator
@@ -131,6 +133,27 @@ class TestRunContract:
         clock.schedule(0.0, events.append, "tick")
         clock.run(until=0.02)
         assert events == ["start", "tick", "close"]
+
+
+class TestTimerPrecision:
+    @pytest.mark.timeout(30)
+    def test_median_lateness_is_well_under_a_millisecond(self):
+        # 300 timers 0.37 ms apart: a loop that waits in whole milliseconds
+        # fires them about half a millisecond late.  The median, not a
+        # tail, so a host stall cannot decide the outcome.
+        clock = WallClock()
+        lateness = []
+
+        def record(due):
+            lateness.append(clock.now - due)
+
+        for index in range(300):
+            due = 0.01 + index * 0.00037
+            clock.schedule_at(due, record, due)
+        clock.run(until=0.13)
+        assert len(lateness) == 300
+        assert min(lateness) >= 0.0
+        assert statistics.median(lateness) <= 0.00025
 
 
 class TestRandomStreams:
